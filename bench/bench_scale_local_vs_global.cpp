@@ -90,7 +90,7 @@ void report() {
       const double sym_ms =
           ms_of([&] { sym = check_symmetric(ring); });
       std::cout << "    symmetry-reduced baseline K=" << k << ": "
-                << sym.canonical_states_visited << " orbits vs "
+                << sym.num_necklaces << " orbits vs "
                 << ring.num_states() << " states; " << sym_ms << " ms vs "
                 << plain_ms << " ms plain\n";
     }
@@ -224,84 +224,77 @@ std::vector<bench::Json> global_engine_report() {
   return runs;
 }
 
-// EXP-S1d — full-verdict throughput: the fused engine (one classify pass,
-// one successor pass building the ¬I CSR, then FB/FWBW parallel SCC and
-// CSR-resident tiled fixpoints) against the unfused pass-per-question
-// baseline (independent sweeps plus a serial Tarjan over the implicit
-// graph), across a thread sweep. Every run's verdict is checked against
-// the serial unfused baseline; a mismatch aborts the bench.
-// RINGSTAB_BENCH_SMOKE=1 shrinks K for the CI smoke job.
+// EXP-S1d — full-verdict throughput of the global engine (one classify
+// pass, one successor pass building the ¬I CSR, then FB/FWBW parallel SCC
+// and CSR-resident tiled fixpoints) across a thread sweep. Every run must
+// equal the 1-thread run on every field, witness included, and the
+// rotation quotient (check_symmetric) on the verdict fields both report;
+// a mismatch aborts the bench. The serial brute-force cross-check lives in
+// tests/ (testing::reference_check). RINGSTAB_BENCH_SMOKE=1 shrinks K for
+// the CI smoke job.
 std::vector<bench::Json> full_verdict_report(const RingInstance& ring,
                                              bool smoke) {
   bench::header(
-      "EXP-S1d", "fused full-verdict engine vs unfused baseline",
+      "EXP-S1d", "full-verdict engine thread sweep",
       "a full verdict (closure, deadlock census, livelock SCCs, weak "
-      "convergence, recovery bound) decodes the state space exactly twice "
-      "in the fused engine; the unfused baseline re-decodes it for every "
-      "question and runs livelock detection as a serial Tarjan");
+      "convergence, recovery bound) decodes the state space exactly twice; "
+      "everything after the second pass runs on the cached ¬I CSR");
 
   const double n = static_cast<double>(ring.num_states());
-  auto run_engine = [&](std::size_t threads, bool fused,
-                        GlobalCheckResult& out) {
-    return ms_of([&] {
-      const GlobalChecker checker(ring, threads, fused);
-      out = checker.check_all();
-      benchmark::DoNotOptimize(&out);
-    });
-  };
-  // Witness cycles are engine-specific (each engine is deterministic, but
-  // they anchor cycles differently); every verdict field must agree.
-  auto same_verdict = [](const GlobalCheckResult& a,
-                         const GlobalCheckResult& b) {
+  auto same_result = [](const GlobalCheckResult& a,
+                        const GlobalCheckResult& b) {
     return a.num_deadlocks_outside_i == b.num_deadlocks_outside_i &&
            a.deadlock_samples == b.deadlock_samples &&
-           a.has_livelock == b.has_livelock && a.closure_ok == b.closure_ok &&
+           a.has_livelock == b.has_livelock &&
+           a.livelock_cycle == b.livelock_cycle &&
+           a.closure_ok == b.closure_ok &&
            a.closure_violation == b.closure_violation &&
            a.weakly_converges == b.weakly_converges &&
            a.max_recovery_steps == b.max_recovery_steps;
   };
 
-  GlobalCheckResult base;
-  const double base_ms = run_engine(1, /*fused=*/false, base);
-  const double base_sps = n / (base_ms / 1000.0);
-  if (!(base_sps > 0.0))
-    throw ModelError("EXP-S1d: zero full-verdict throughput");
-
   std::vector<bench::Json> runs;
-  auto record = [&](const char* engine, std::size_t threads, double ms,
-                    const GlobalCheckResult& res) {
-    if (!same_verdict(res, base))
-      throw ModelError(cat("EXP-S1d: ", engine, " engine at ", threads,
-                           " thread(s) disagrees with the serial baseline"));
+  GlobalCheckResult base;
+  double base_sps = 0;
+  for (const std::size_t t : {1, 2, 4, 8}) {
+    GlobalCheckResult res;
+    const double ms = ms_of([&] {
+      res = GlobalChecker(ring, t).check_all();
+      benchmark::DoNotOptimize(&res);
+    });
     const double sps = n / (ms / 1000.0);
-    std::cout << "  full verdict K=" << ring.ring_size() << " " << engine
-              << ", " << threads << " thread(s): " << ms << " ms, "
+    if (t == 1) {
+      base = res;
+      base_sps = sps;
+      if (!(base_sps > 0.0))
+        throw ModelError("EXP-S1d: zero full-verdict throughput");
+    } else if (!same_result(res, base)) {
+      throw ModelError(cat("EXP-S1d: ", t,
+                           " threads disagree with the 1-thread run"));
+    }
+    std::cout << "  full verdict K=" << ring.ring_size() << ", " << t
+              << " thread(s): " << ms << " ms, "
               << static_cast<std::uint64_t>(sps) << " states/sec, "
-              << sps / base_sps << "x vs serial unfused\n";
+              << sps / base_sps << "x vs 1 thread\n";
     runs.push_back(bench::Json()
-                       .put("engine", engine)
-                       .put("threads", threads)
+                       .put("engine", "fused")
+                       .put("threads", t)
                        .put("ms", ms)
                        .put("states_per_sec", sps)
-                       .put("speedup_vs_serial_unfused", sps / base_sps));
-  };
-  record("unfused", 1, base_ms, base);
-  const std::vector<std::size_t> sweep = {1, 2, 4, 8};
-  for (const std::size_t t : sweep) {
-    GlobalCheckResult res;
-    const double ms = run_engine(t, /*fused=*/true, res);
-    record("fused", t, ms, res);
+                       .put("speedup_vs_1", sps / base_sps));
   }
-  for (const std::size_t t : sweep) {
-    if (t == 1) continue;  // the baseline row above
-    GlobalCheckResult res;
-    const double ms = run_engine(t, /*fused=*/false, res);
-    record("unfused", t, ms, res);
-  }
+  const SymmetricCheckResult sym = check_symmetric(ring);
+  if (sym.num_deadlocks_outside_i != base.num_deadlocks_outside_i ||
+      sym.closure_ok != base.closure_ok ||
+      sym.has_livelock != base.has_livelock ||
+      sym.weakly_converges != base.weakly_converges ||
+      sym.max_recovery_steps != base.max_recovery_steps)
+    throw ModelError("EXP-S1d: the rotation quotient disagrees");
   bench::note(cat(
-      "verdicts (deadlock census + samples, livelock, closure pair, weak "
-      "convergence, recovery bound) are asserted bit-identical across all ",
-      runs.size(), " runs; speedups are bounded by physical cores (",
+      "every run equals the 1-thread run on every field (deadlock census + "
+      "samples, livelock witness, closure pair, weak convergence, recovery "
+      "bound) and check_symmetric on the verdict fields; speedups are "
+      "bounded by physical cores (",
       resolve_threads(0), " hardware lane(s) here)",
       smoke ? " — SMOKE RUN, tiny K" : ""));
   bench::footer();
@@ -332,7 +325,7 @@ void report_all() {
           .put("full_verdict_num_states", ring.num_states())
           .put("full_verdict_smoke", smoke)
           .put("full_verdict_sweep",
-               "check_all: fused two-pass + parallel SCC vs unfused baseline")
+               "check_all: fused two-pass + parallel SCC, thread sweep")
           .put("full_verdict_runs", verdict_runs));
   symmetry_report();
 }

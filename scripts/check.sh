@@ -40,9 +40,11 @@ cmake --build "$repo/build-tsan" -j "$jobs" \
 
 echo "== TSan: run =="
 "$repo/build-tsan/tests/test_parallel"
-# FB/FWBW decomposition, fused checker passes, and the quotient SCC port:
-# the randomized cross-validation plus the zoo sweeps drive every atomic
-# (frontier dedup, transpose fill cursors, rank-space mask writes).
+# FB/FWBW decomposition, the checker's two passes, and the shared verdict
+# stages under both front-ends (full space and quotient): the randomized
+# cross-validation plus the zoo sweeps against the serial reference drive
+# every atomic (frontier dedup, transpose fill cursors, rank-space mask
+# writes, layered depth publication).
 "$repo/build-tsan/tests/test_parallel_scc"
 "$repo/build-tsan/tests/test_obs"
 # The zoo-wide bit-identity sweeps re-run full synthesis dozens of times and

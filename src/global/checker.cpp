@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <unordered_map>
 
 #include "core/fmt.hpp"
 #include "obs/obs.hpp"
@@ -13,142 +12,6 @@ namespace ringstab {
 namespace {
 
 constexpr std::uint32_t kUnvisited = 0xffffffffu;
-
-// Iterative Tarjan over the implicit global transition graph restricted to
-// states outside I: the unfused baseline engine. One full run serves both
-// livelock queries — it collects every state on a ¬I cycle and extracts a
-// witness cycle from the first nontrivial SCC it pops (deterministic: pop
-// order is a pure function of the graph). Serial; the precomputed invariant
-// mask is supplied by the checker.
-class OutsideInvariantScc {
- public:
-  OutsideInvariantScc(const RingInstance& ring, const PackedBitset& in_inv)
-      : ring_(ring), in_inv_(in_inv) {
-    index_.assign(ring.num_states(), kUnvisited);
-    low_.assign(ring.num_states(), 0);
-    on_stack_.assign(ring.num_states(), false);
-  }
-
-  void run() {
-    for (GlobalStateId root = 0; root < ring_.num_states(); ++root) {
-      if (index_[root] != kUnvisited) continue;
-      if (in_inv_.test(root)) continue;
-      visit(root);
-    }
-    obs::counter("checker.tarjan_states_visited").add(next_index_);
-  }
-
-  std::optional<std::vector<GlobalStateId>> witness_cycle;
-  std::vector<GlobalStateId> cycle_states;
-
- private:
-  struct Frame {
-    GlobalStateId v;
-    std::vector<GlobalStateId> children;
-    std::size_t next_child = 0;
-  };
-
-  void expand(GlobalStateId v, std::vector<GlobalStateId>& out) {
-    out.clear();
-    static thread_local std::vector<RingInstance::Step> succ;
-    ring_.successors(v, succ);
-    for (const auto& s : succ)
-      if (!in_inv_.test(s.target)) out.push_back(s.target);
-  }
-
-  void visit(GlobalStateId root) {
-    std::vector<Frame> call;
-    call.push_back({root, {}, 0});
-    expand(root, call.back().children);
-    index_[root] = low_[root] = next_index_++;
-    stack_.push_back(root);
-    on_stack_[root] = true;
-
-    while (!call.empty()) {
-      Frame& f = call.back();
-      const GlobalStateId v = f.v;
-      bool descended = false;
-      while (f.next_child < f.children.size()) {
-        const GlobalStateId w = f.children[f.next_child++];
-        if (index_[w] == kUnvisited) {
-          call.push_back({w, {}, 0});
-          expand(w, call.back().children);
-          index_[w] = low_[w] = next_index_++;
-          stack_.push_back(w);
-          on_stack_[w] = true;
-          descended = true;
-          break;
-        }
-        if (on_stack_[w]) low_[v] = std::min(low_[v], index_[w]);
-      }
-      if (descended) continue;
-
-      if (low_[v] == index_[v]) {
-        // Pop the component.
-        std::vector<GlobalStateId> comp;
-        while (true) {
-          const GlobalStateId w = stack_.back();
-          stack_.pop_back();
-          on_stack_[w] = false;
-          comp.push_back(w);
-          if (w == v) break;
-        }
-        if (comp.size() > 1) {  // global self-loops cannot exist
-          if (!witness_cycle) witness_cycle = extract_cycle(comp);
-          cycle_states.insert(cycle_states.end(), comp.begin(), comp.end());
-        }
-      }
-      call.pop_back();
-      if (!call.empty())
-        low_[call.back().v] = std::min(low_[call.back().v], low_[v]);
-    }
-  }
-
-  // A simple cycle inside one nontrivial SCC: DFS from comp[0] back to it,
-  // restricted to component members.
-  std::vector<GlobalStateId> extract_cycle(
-      const std::vector<GlobalStateId>& comp) {
-    std::vector<GlobalStateId> sorted = comp;
-    std::sort(sorted.begin(), sorted.end());
-    auto in_comp = [&](GlobalStateId s) {
-      return std::binary_search(sorted.begin(), sorted.end(), s);
-    };
-    const GlobalStateId start = comp[0];
-
-    // Iterative DFS with parent links back to `start`.
-    std::unordered_map<GlobalStateId, GlobalStateId> parent;
-    std::vector<GlobalStateId> stack{start};
-    std::vector<GlobalStateId> kids;
-    parent.emplace(start, start);
-    while (!stack.empty()) {
-      const GlobalStateId v = stack.back();
-      stack.pop_back();
-      expand(v, kids);
-      for (GlobalStateId w : kids) {
-        if (!in_comp(w)) continue;
-        if (w == start) {
-          // Reconstruct v -> ... -> start.
-          std::vector<GlobalStateId> cyc{start};
-          for (GlobalStateId x = v; x != start; x = parent.at(x))
-            cyc.push_back(x);
-          std::reverse(cyc.begin() + 1, cyc.end());
-          return cyc;
-        }
-        if (!parent.emplace(w, v).second) continue;
-        stack.push_back(w);
-      }
-    }
-    RINGSTAB_ASSERT(false, "nontrivial SCC without a cycle");
-    return {};
-  }
-
-  const RingInstance& ring_;
-  const PackedBitset& in_inv_;
-  std::uint32_t next_index_ = 0;
-  std::vector<std::uint32_t> index_, low_;
-  std::vector<bool> on_stack_;
-  std::vector<GlobalStateId> stack_;
-};
 
 /// All 8 words of the 64-byte tile starting at word `w` fully set?
 inline bool tile_full(const PackedBitset& bs, std::uint64_t w) {
@@ -160,7 +23,7 @@ inline bool tile_full(const PackedBitset& bs, std::uint64_t w) {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Fused pipeline: two decode passes, then everything runs on the cached CSR.
+// GlobalChecker front-end: two decode passes build the NotInvariantGraph.
 // ---------------------------------------------------------------------------
 
 std::uint32_t GlobalChecker::rank_of(GlobalStateId s) const {
@@ -191,7 +54,7 @@ void GlobalChecker::ensure_masks() const {
         mask.set(s);
       } else if (cls & RingInstance::kClassDeadlock) {
         ++count;
-        if (found[chunk.index].size() < kMaxCachedSamples)
+        if (found[chunk.index].size() < kMaxSamples)
           found[chunk.index].push_back(s);
       }
     }
@@ -203,7 +66,7 @@ void GlobalChecker::ensure_masks() const {
   for (std::uint64_t c = 0; c < chunks; ++c) {
     deadlock_count_ += counts[c];
     for (GlobalStateId s : found[c])
-      if (deadlock_samples_.size() < kMaxCachedSamples)
+      if (deadlock_samples_.size() < kMaxSamples)
         deadlock_samples_.push_back(s);
   }
   if (obs::enabled())
@@ -234,7 +97,7 @@ void GlobalChecker::ensure_graph() const {
   if (nni >> 32)
     throw CapacityError("fused engine: more than 2^32 states outside I");
 
-  to_inv_.assign(nni);
+  graph_.to_inv.assign(nni);
   ni_ids_.assign(nni, 0);
   const std::uint64_t chunks = num_chunks(n, 0);
   struct ChunkGraph {
@@ -275,8 +138,8 @@ void GlobalChecker::ensure_graph() const {
       }
       mine.deg.push_back(deg);
       // Rank-space bits are not chunk-word-aligned (chunks are 64-aligned
-      // in *state* space), so neighbor chunks may share a to_inv_ word.
-      if (into_inv) to_inv_.set_atomic(r);
+      // in *state* space), so neighbor chunks may share a to_inv word.
+      if (into_inv) graph_.to_inv.set_atomic(r);
       ni_ids_[r] = s;
       ++r;
     }
@@ -291,7 +154,8 @@ void GlobalChecker::ensure_graph() const {
       closure_violation_ = part[c].violation;
     }
 
-  csr_.row.assign(nni + 1, 0);
+  CsrGraph& csr = graph_.csr;
+  csr.row.assign(nni + 1, 0);
   std::vector<std::uint64_t> edge_base(chunks, 0);
   std::uint64_t total_edges = 0;
   {
@@ -299,45 +163,74 @@ void GlobalChecker::ensure_graph() const {
     for (std::uint64_t c = 0; c < chunks; ++c) {
       edge_base[c] = total_edges;
       for (const std::uint32_t d : part[c].deg) {
-        csr_.row[r + 1] = csr_.row[r] + d;
+        csr.row[r + 1] = csr.row[r] + d;
         total_edges += d;
         ++r;
       }
     }
     RINGSTAB_ASSERT(r == nni, "rank bookkeeping out of sync");
   }
-  csr_.col.assign(total_edges, 0);
+  csr.col.assign(total_edges, 0);
   parallel_for(chunks, num_threads_, 64,
                [&](const ChunkRange& ck, std::size_t) {
     for (std::uint64_t c = ck.begin; c < ck.end; ++c)
       std::copy(part[c].col.begin(), part[c].col.end(),
-                csr_.col.begin() + edge_base[c]);
+                csr.col.begin() + edge_base[c]);
   });
   obs::counter("checker.graph_edges").add(total_edges);
   if (obs::enabled())
     obs::gauge("mem.csr_bytes")
-        .set(csr_.row.size() * sizeof(csr_.row[0]) +
-             csr_.col.size() * sizeof(csr_.col[0]));
+        .set(csr.row.size() * sizeof(csr.row[0]) +
+             csr.col.size() * sizeof(csr.col[0]));
   graph_built_ = true;
 }
 
 void GlobalChecker::ensure_scc() const {
   if (scc_done_) return;
   ensure_graph();
-  const obs::Span span("checker.livelock_scc");
-  scc_ = parallel_scc(csr_, num_threads_);
+  scc_ = livelock_scc(graph_, num_threads_);
   scc_done_ = true;
 }
 
-std::size_t GlobalChecker::fused_weak_convergence() const {
-  const std::uint64_t nni = to_inv_.size();
+
+// ---------------------------------------------------------------------------
+// Shared verdict stages over a NotInvariantGraph.
+// ---------------------------------------------------------------------------
+
+ParallelSccResult livelock_scc(const NotInvariantGraph& g,
+                               std::size_t num_threads) {
+  const obs::Span span("checker.livelock_scc");
+  return parallel_scc(g.csr, num_threads);
+}
+
+std::optional<std::vector<std::uint32_t>> livelock_witness(
+    const NotInvariantGraph& g, const ParallelSccResult& scc) {
+  // Canonical witness anchor: the smallest rank on any ¬I cycle.
+  std::uint64_t start = kUnvisited;
+  for (std::uint64_t w = 0; w < scc.nontrivial.num_words(); ++w) {
+    const std::uint64_t word = scc.nontrivial.word(w) | scc.self_loop.word(w);
+    if (word) {
+      start = w * 64 + static_cast<std::uint64_t>(std::countr_zero(word));
+      break;
+    }
+  }
+  if (start == kUnvisited) return std::nullopt;
+  return extract_component_cycle(g.csr, scc,
+                                 static_cast<std::uint32_t>(start));
+}
+
+bool all_reach_invariant(const NotInvariantGraph& g,
+                         std::size_t num_threads) {
+  const CsrGraph& csr = g.csr;
+  const PackedBitset& to_inv = g.to_inv;
+  const std::uint64_t nni = to_inv.size();
   const obs::Span span("checker.weak_convergence");
   obs::Counter& rounds = obs::counter("checker.fixpoint_rounds");
   obs::Counter& frontier = obs::counter("checker.frontier_states");
   // Backward fixpoint in rank space, as synchronous (Jacobi) rounds over
-  // the CSR: to_inv_ acts as a constant edge into the (already reaching)
-  // invariant, so the per-round growth — and the round count — matches the
-  // full-space sweep of the unfused engine exactly.
+  // the CSR: to_inv acts as a constant edge into the (already reaching)
+  // invariant, so the per-round growth — and the round count — matches a
+  // full-space sweep from I exactly.
   PackedBitset reaches(nni);
   PackedBitset next(nni);
   const std::uint64_t chunks = num_chunks(nni, 0);
@@ -346,7 +239,7 @@ std::size_t GlobalChecker::fused_weak_convergence() const {
     rounds.add(1);
     next = reaches;
     std::fill(chunk_changed.begin(), chunk_changed.end(), 0);
-    parallel_for(nni, num_threads_, 0,
+    parallel_for(nni, num_threads, 0,
                  [&](const ChunkRange& chunk, std::size_t) {
       bool changed = false;
       std::uint64_t grew = 0;
@@ -366,10 +259,9 @@ std::size_t GlobalChecker::fused_weak_convergence() const {
               base + static_cast<std::uint64_t>(std::countr_zero(todo));
           todo &= todo - 1;
           if (r >= chunk.end) break;
-          bool hit = to_inv_.test(r);
-          for (std::uint64_t e = csr_.row[r]; !hit && e < csr_.row[r + 1];
-               ++e)
-            hit = reaches.test(csr_.col[e]);
+          bool hit = to_inv.test(r);
+          for (std::uint64_t e = csr.row[r]; !hit && e < csr.row[r + 1]; ++e)
+            hit = reaches.test(csr.col[e]);
           if (hit) {
             next.set(r);
             changed = true;
@@ -385,18 +277,21 @@ std::size_t GlobalChecker::fused_weak_convergence() const {
       break;
     std::swap(reaches, next);
   }
-  return reaches.count();
+  return reaches.count() == nni;
 }
 
-std::size_t GlobalChecker::fused_recovery_steps() const {
-  const std::uint64_t nni = to_inv_.size();
+std::size_t recovery_layering(const NotInvariantGraph& g,
+                              std::size_t num_threads) {
+  const CsrGraph& csr = g.csr;
+  const PackedBitset& to_inv = g.to_inv;
+  const std::uint64_t nni = to_inv.size();
   const obs::Span span("checker.recovery_layering");
-  // Each ¬I state resolves its depth exactly once in both engines, so the
-  // total is thread-count-invariant: |¬I| states.
+  // Each ¬I rank resolves its depth exactly once on either path, so the
+  // total is thread-count-invariant: |¬I| ranks.
   obs::Counter& resolved_ctr = obs::counter("checker.recovery_resolved");
-  if (num_threads_ <= 1) {
+  if (num_threads <= 1) {
     // Longest path to I over the CSR (valid when strongly converging):
-    // memoized DFS; to_inv_ contributes the 1-step edges into I.
+    // memoized DFS; to_inv contributes the 1-step edges into I.
     constexpr std::uint32_t kUnknown = 0xfffffffeu;
     constexpr std::uint32_t kInProgress = 0xfffffffdu;
     std::vector<std::uint32_t> depth(nni, kUnknown);
@@ -407,12 +302,12 @@ std::size_t GlobalChecker::fused_recovery_steps() const {
         throw ModelError("cycle outside I: not strongly converging");
       if (depth[r] != kUnknown) return depth[r];
       depth[r] = kInProgress;
-      const std::uint64_t lo = csr_.row[r], hi = csr_.row[r + 1];
-      if (lo == hi && !to_inv_.test(r))
+      const std::uint64_t lo = csr.row[r], hi = csr.row[r + 1];
+      if (lo == hi && !to_inv.test(r))
         throw ModelError("deadlock outside I: not strongly converging");
-      std::uint32_t d = to_inv_.test(r) ? 1 : 0;
+      std::uint32_t d = to_inv.test(r) ? 1 : 0;
       for (std::uint64_t e = lo; e < hi; ++e)
-        d = std::max(d, 1 + self(self, csr_.col[e]));
+        d = std::max(d, 1 + self(self, csr.col[e]));
       depth[r] = d;
       ++serial_resolved;
       return d;
@@ -423,7 +318,7 @@ std::size_t GlobalChecker::fused_recovery_steps() const {
     return best;
   }
 
-  // Parallel layering: a state resolves to max(1 if it steps into I, 1 +
+  // Parallel layering: a rank resolves to max(1 if it steps into I, 1 +
   // resolved successor depths) once every CSR successor has resolved.
   // Depths are set at most once and never change, so in-place relaxed
   // publication is safe and the fixpoint is schedule-independent.
@@ -438,7 +333,7 @@ std::size_t GlobalChecker::fused_recovery_steps() const {
   while (remaining > 0) {
     std::fill(resolved.begin(), resolved.end(), 0);
     std::fill(chunk_best.begin(), chunk_best.end(), 0);
-    parallel_for(nni, num_threads_, 0,
+    parallel_for(nni, num_threads, 0,
                  [&](const ChunkRange& chunk, std::size_t) {
       const std::uint64_t w1 = (chunk.end + 63) >> 6;
       for (std::uint64_t w = chunk.begin >> 6; w < w1;) {
@@ -454,13 +349,13 @@ std::size_t GlobalChecker::fused_recovery_steps() const {
               base + static_cast<std::uint64_t>(std::countr_zero(todo));
           todo &= todo - 1;
           if (r >= chunk.end) break;
-          const std::uint64_t lo = csr_.row[r], hi = csr_.row[r + 1];
-          if (lo == hi && !to_inv_.test(r))
+          const std::uint64_t lo = csr.row[r], hi = csr.row[r + 1];
+          if (lo == hi && !to_inv.test(r))
             throw ModelError("deadlock outside I: not strongly converging");
-          std::uint32_t d = to_inv_.test(r) ? 1 : 0;
+          std::uint32_t d = to_inv.test(r) ? 1 : 0;
           bool all_known = true;
           for (std::uint64_t e = lo; e < hi; ++e) {
-            std::atomic_ref<std::uint32_t> theirs(depth[csr_.col[e]]);
+            std::atomic_ref<std::uint32_t> theirs(depth[csr.col[e]]);
             const std::uint32_t t = theirs.load(std::memory_order_relaxed);
             if (t == kUnknown) {
               all_known = false;
@@ -491,121 +386,35 @@ std::size_t GlobalChecker::fused_recovery_steps() const {
 }
 
 // ---------------------------------------------------------------------------
-// Public interface: each query dispatches to the fused pipeline or to the
-// original pass-per-question engine.
+// Public interface: each query runs the passes it needs, then a shared stage.
 // ---------------------------------------------------------------------------
 
 const PackedBitset& GlobalChecker::invariant_mask() const {
-  if (fused_) {
-    ensure_masks();
-    return inv_mask_;
-  }
-  const GlobalStateId n = ring_->num_states();
-  if (inv_mask_.size() == n) return inv_mask_;  // already built (n > 0)
-  const obs::Span span("checker.invariant_mask");
-  obs::Counter& swept = obs::counter("checker.states_swept");
-  PackedBitset mask(n);
-  // Chunks start on multiples of a 64-aligned grain, so each chunk's bits
-  // live in chunk-private words: plain set() is race-free.
-  parallel_for(n, num_threads_, 0, [&](const ChunkRange& chunk, std::size_t) {
-    auto cur = ring_->cursor(chunk.begin);
-    for (GlobalStateId s = chunk.begin; s < chunk.end; ++s, cur.advance())
-      if (cur.in_invariant()) mask.set(s);
-    swept.add(chunk.end - chunk.begin);
-  });
-  if (obs::enabled())
-    obs::counter("checker.invariant_states").add(mask.count());
-  inv_mask_ = std::move(mask);
+  ensure_masks();
   return inv_mask_;
 }
 
 std::size_t GlobalChecker::count_deadlocks_outside_invariant(
     std::vector<GlobalStateId>* samples, std::size_t max_samples) const {
-  if (fused_) {
-    ensure_masks();
-    const bool cache_covers =
-        !samples || max_samples <= kMaxCachedSamples ||
-        deadlock_samples_.size() >=
-            std::min<std::size_t>(deadlock_count_, max_samples);
-    if (cache_covers) {
-      if (samples)
-        for (GlobalStateId s : deadlock_samples_)
-          if (samples->size() < max_samples) samples->push_back(s);
-      return deadlock_count_;
-    }
-  }
-  const GlobalStateId n = ring_->num_states();
-  const PackedBitset& in_inv = invariant_mask();
-  const obs::Span span("checker.deadlock_census");
-  obs::Counter& swept = obs::counter("checker.states_swept");
-  const std::uint64_t chunks = num_chunks(n, 0);
-  std::vector<std::size_t> counts(chunks, 0);
-  std::vector<std::vector<GlobalStateId>> found(samples ? chunks : 0);
-  parallel_for(n, num_threads_, 0, [&](const ChunkRange& chunk, std::size_t) {
-    auto cur = ring_->cursor(chunk.begin);
-    std::size_t count = 0;
-    for (GlobalStateId s = chunk.begin; s < chunk.end; ++s, cur.advance()) {
-      if (in_inv.test(s)) continue;
-      if (!cur.is_deadlock()) continue;
-      ++count;
-      if (samples && found[chunk.index].size() < max_samples)
-        found[chunk.index].push_back(s);
-    }
-    counts[chunk.index] = count;
-    swept.add(chunk.end - chunk.begin);
-  });
-  std::size_t count = 0;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    count += counts[c];
-    if (samples)
-      for (GlobalStateId s : found[c])
-        if (samples->size() < max_samples) samples->push_back(s);
-  }
-  obs::counter("checker.deadlocks_found").add(count);
-  return count;
-}
-
-void GlobalChecker::ensure_tarjan() const {
-  if (tarjan_done_) return;
-  OutsideInvariantScc scc(*ring_, invariant_mask());
-  const obs::Span span("checker.tarjan_livelock");
-  scc.run();
-  std::sort(scc.cycle_states.begin(), scc.cycle_states.end());
-  tarjan_witness_ = std::move(scc.witness_cycle);
-  tarjan_states_ = std::move(scc.cycle_states);
-  tarjan_done_ = true;
+  ensure_masks();
+  if (samples)
+    for (GlobalStateId s : deadlock_samples_)
+      if (samples->size() < max_samples) samples->push_back(s);
+  return deadlock_count_;
 }
 
 std::optional<std::vector<GlobalStateId>> GlobalChecker::find_livelock()
     const {
-  if (!fused_) {
-    ensure_tarjan();
-    return tarjan_witness_;
-  }
   ensure_scc();
-  // Canonical witness anchor: the smallest-ranked state on any ¬I cycle.
-  std::uint64_t start = kUnvisited;
-  for (std::uint64_t w = 0; w < scc_.nontrivial.num_words(); ++w) {
-    const std::uint64_t word = scc_.nontrivial.word(w) | scc_.self_loop.word(w);
-    if (word) {
-      start = w * 64 + static_cast<std::uint64_t>(std::countr_zero(word));
-      break;
-    }
-  }
-  if (start == kUnvisited) return std::nullopt;
-  const auto ranks = extract_component_cycle(
-      csr_, scc_, static_cast<std::uint32_t>(start));
+  const auto ranks = livelock_witness(graph_, scc_);
+  if (!ranks) return std::nullopt;
   std::vector<GlobalStateId> cycle;
-  cycle.reserve(ranks.size());
-  for (const std::uint32_t r : ranks) cycle.push_back(ni_ids_[r]);
+  cycle.reserve(ranks->size());
+  for (const std::uint32_t r : *ranks) cycle.push_back(ni_ids_[r]);
   return cycle;
 }
 
 std::vector<GlobalStateId> GlobalChecker::livelock_states() const {
-  if (!fused_) {
-    ensure_tarjan();
-    return tarjan_states_;
-  }
   ensure_scc();
   std::vector<GlobalStateId> out;
   for (std::uint64_t w = 0; w < scc_.nontrivial.num_words(); ++w) {
@@ -622,207 +431,19 @@ std::vector<GlobalStateId> GlobalChecker::livelock_states() const {
 
 bool GlobalChecker::check_closure(
     std::optional<std::pair<GlobalStateId, GlobalStateId>>* violation) const {
-  if (fused_) {
-    ensure_graph();
-    if (!closure_ok_ && violation) *violation = *closure_violation_;
-    return closure_ok_;
-  }
-  const GlobalStateId n = ring_->num_states();
-  const PackedBitset& in_inv = invariant_mask();
-  const obs::Span span("checker.closure");
-  // Own counter, not states_swept: the early exit on a violation makes the
-  // closure scan's coverage depend on chunk timing, while states_swept is
-  // kept exact and thread-count-invariant.
-  obs::Counter& swept =
-      obs::counter("checker.closure_states_scanned", /*approx=*/true);
-  const std::uint64_t chunks = num_chunks(n, 0);
-  using Violation = std::pair<GlobalStateId, GlobalStateId>;
-  std::vector<std::optional<Violation>> found(chunks);
-  // The serial engine reports the violation with the smallest source state.
-  // Chunks above the lowest chunk known to hold one can stop early; the
-  // merge picks the lowest chunk, so the reported pair is identical for
-  // every thread count.
-  std::atomic<std::uint64_t> first_chunk{chunks};
-  parallel_for(n, num_threads_, 0,
-               [&](const ChunkRange& chunk, std::size_t) {
-    if (chunk.index > first_chunk.load(std::memory_order_relaxed)) return;
-    auto cur = ring_->cursor(chunk.begin);
-    std::vector<RingInstance::Step> succ;
-    swept.add(chunk.end - chunk.begin);
-    for (GlobalStateId s = chunk.begin; s < chunk.end; ++s, cur.advance()) {
-      if (!in_inv.test(s)) continue;
-      cur.successors(succ);
-      for (const auto& step : succ) {
-        if (!in_inv.test(step.target)) {
-          found[chunk.index] = {s, step.target};
-          std::uint64_t prev = first_chunk.load(std::memory_order_relaxed);
-          while (chunk.index < prev &&
-                 !first_chunk.compare_exchange_weak(
-                     prev, chunk.index, std::memory_order_relaxed)) {
-          }
-          return;
-        }
-      }
-    }
-  });
-  for (std::uint64_t c = 0; c < chunks; ++c) {
-    if (found[c]) {
-      if (violation) *violation = *found[c];
-      return false;
-    }
-  }
-  return true;
+  ensure_graph();
+  if (!closure_ok_ && violation) *violation = *closure_violation_;
+  return closure_ok_;
 }
 
 bool GlobalChecker::check_weak_convergence() const {
-  if (fused_) {
-    ensure_graph();
-    return fused_weak_convergence() == to_inv_.size();
-  }
-  const GlobalStateId n = ring_->num_states();
-  // Backward fixpoint over the implicit graph, as synchronous (Jacobi)
-  // rounds: a round reads `reaches`, writes `next`, and the two swap. The
-  // fixpoint is the same set the seed's in-place scan computed.
-  PackedBitset reaches = invariant_mask();
-  const obs::Span span("checker.weak_convergence");
-  obs::Counter& rounds = obs::counter("checker.fixpoint_rounds");
-  obs::Counter& frontier = obs::counter("checker.frontier_states");
-  PackedBitset next(n);
-  const std::uint64_t chunks = num_chunks(n, 0);
-  std::vector<std::uint8_t> chunk_changed(chunks, 0);
-  while (true) {
-    rounds.add(1);
-    next = reaches;
-    std::fill(chunk_changed.begin(), chunk_changed.end(), 0);
-    parallel_for(n, num_threads_, 0,
-                 [&](const ChunkRange& chunk, std::size_t) {
-      auto cur = ring_->cursor(chunk.begin);
-      std::vector<RingInstance::Step> succ;
-      bool changed = false;
-      std::uint64_t grew = 0;
-      for (GlobalStateId s = chunk.begin; s < chunk.end; ++s, cur.advance()) {
-        if (reaches.test(s)) continue;
-        cur.successors(succ);
-        for (const auto& step : succ) {
-          if (reaches.test(step.target)) {
-            next.set(s);
-            changed = true;
-            ++grew;
-            break;
-          }
-        }
-      }
-      chunk_changed[chunk.index] = changed;
-      frontier.add(grew);
-    });
-    if (std::find(chunk_changed.begin(), chunk_changed.end(), 1) ==
-        chunk_changed.end())
-      break;
-    std::swap(reaches, next);
-  }
-  return reaches.count() == n;
+  ensure_graph();
+  return all_reach_invariant(graph_, num_threads_);
 }
 
 std::size_t GlobalChecker::max_recovery_steps() const {
-  if (fused_) {
-    ensure_graph();
-    return fused_recovery_steps();
-  }
-  const GlobalStateId n = ring_->num_states();
-  const PackedBitset& in_inv = invariant_mask();
-  const obs::Span span("checker.recovery_layering");
-  // Each ¬I state resolves its depth exactly once in both engines, so the
-  // total is thread-count-invariant: |¬I| states.
-  obs::Counter& resolved_ctr = obs::counter("checker.recovery_resolved");
-  if (num_threads_ <= 1) {
-    // Longest path in the ¬I subgraph, all of whose maximal paths end in I
-    // (valid when strongly converging). Memoized DFS.
-    constexpr std::uint32_t kUnknown = 0xfffffffeu;
-    constexpr std::uint32_t kInProgress = 0xfffffffdu;
-    std::vector<std::uint32_t> depth(n, kUnknown);
-
-    std::size_t best = 0;
-    std::uint64_t serial_resolved = 0;
-    auto dfs = [&](auto&& self, GlobalStateId s) -> std::uint32_t {
-      if (in_inv.test(s)) return 0;
-      if (depth[s] == kInProgress)
-        throw ModelError("cycle outside I: not strongly converging");
-      if (depth[s] != kUnknown) return depth[s];
-      depth[s] = kInProgress;
-      std::vector<RingInstance::Step> local;
-      ring_->successors(s, local);
-      if (local.empty())
-        throw ModelError("deadlock outside I: not strongly converging");
-      std::uint32_t d = 0;
-      for (const auto& step : local)
-        d = std::max(d, 1 + self(self, step.target));
-      depth[s] = d;
-      ++serial_resolved;
-      return d;
-    };
-    for (GlobalStateId s = 0; s < n; ++s)
-      best = std::max<std::size_t>(best, dfs(dfs, s));
-    resolved_ctr.add(serial_resolved);
-    return best;
-  }
-
-  // Parallel layering: depth(s in I) = 0; a state resolves to 1 + max of
-  // its successors' depths once all of them have resolved. Depths are set
-  // at most once and never change, so in-place relaxed publication is safe
-  // and the fixpoint (the exact longest path to I) is the same as the
-  // serial DFS for every thread count and schedule.
-  constexpr std::uint32_t kUnknown = 0xffffffffu;
-  std::vector<std::uint32_t> depth(n);
-  parallel_for(n, num_threads_, 0, [&](const ChunkRange& chunk, std::size_t) {
-    for (GlobalStateId s = chunk.begin; s < chunk.end; ++s)
-      depth[s] = in_inv.test(s) ? 0 : kUnknown;
-  });
-  std::uint64_t remaining = n - in_inv.count();
-  const std::uint64_t chunks = num_chunks(n, 0);
-  std::vector<std::uint64_t> resolved(chunks);
-  std::vector<std::uint32_t> chunk_best(chunks);
-  std::size_t best = 0;
-  while (remaining > 0) {
-    std::fill(resolved.begin(), resolved.end(), 0);
-    std::fill(chunk_best.begin(), chunk_best.end(), 0);
-    parallel_for(n, num_threads_, 0,
-                 [&](const ChunkRange& chunk, std::size_t) {
-      auto cur = ring_->cursor(chunk.begin);
-      std::vector<RingInstance::Step> succ;
-      for (GlobalStateId s = chunk.begin; s < chunk.end; ++s, cur.advance()) {
-        std::atomic_ref<std::uint32_t> mine(depth[s]);
-        if (mine.load(std::memory_order_relaxed) != kUnknown) continue;
-        cur.successors(succ);
-        if (succ.empty())
-          throw ModelError("deadlock outside I: not strongly converging");
-        std::uint32_t d = 0;
-        bool all_known = true;
-        for (const auto& step : succ) {
-          std::atomic_ref<std::uint32_t> theirs(depth[step.target]);
-          const std::uint32_t t = theirs.load(std::memory_order_relaxed);
-          if (t == kUnknown) {
-            all_known = false;
-            break;
-          }
-          d = std::max(d, 1 + t);
-        }
-        if (!all_known) continue;
-        mine.store(d, std::memory_order_relaxed);
-        ++resolved[chunk.index];
-        chunk_best[chunk.index] = std::max(chunk_best[chunk.index], d);
-      }
-    });
-    std::uint64_t progress = 0;
-    for (std::uint64_t c = 0; c < chunks; ++c) {
-      progress += resolved[c];
-      best = std::max<std::size_t>(best, chunk_best[c]);
-    }
-    if (progress == 0)
-      throw ModelError("cycle outside I: not strongly converging");
-    resolved_ctr.add(progress);
-    remaining -= progress;
-  }
-  return best;
+  ensure_graph();
+  return recovery_layering(graph_, num_threads_);
 }
 
 GlobalCheckResult GlobalChecker::check_all() const {

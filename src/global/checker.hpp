@@ -40,55 +40,76 @@ struct GlobalCheckResult {
   std::size_t max_recovery_steps = 0;
 };
 
+/// The ¬I transition graph both checkers hand to the shared verdict stages
+/// below: a CSR over the ranks of the states outside I (rank order follows
+/// state order, so rank 0 is the smallest ¬I state), with edges into I
+/// dropped from the CSR and recorded in `to_inv` instead. GlobalChecker
+/// builds it over global state ids, check_symmetric over necklaces.
+struct NotInvariantGraph {
+  CsrGraph csr;
+  PackedBitset to_inv;  // rank r has an edge into I
+};
+
+/// The ¬I SCC partition (FB/FWBW, graph/parallel_scc.hpp).
+ParallelSccResult livelock_scc(const NotInvariantGraph& g,
+                               std::size_t num_threads);
+
+/// The canonical livelock witness, as ranks: anchored at the smallest rank
+/// on any ¬I cycle, so it is identical at every thread count. nullopt when
+/// the ¬I graph is acyclic.
+std::optional<std::vector<std::uint32_t>> livelock_witness(
+    const NotInvariantGraph& g, const ParallelSccResult& scc);
+
+/// Every rank can reach I (weak convergence), by a tiled backward Jacobi
+/// fixpoint whose round count is thread-count-invariant.
+bool all_reach_invariant(const NotInvariantGraph& g, std::size_t num_threads);
+
+/// Longest path into I, by serial memoized DFS at 1 lane and a layered
+/// fixpoint above that. Throws ModelError on a ¬I cycle or deadlock, so it
+/// is meaningful only when the instance strongly converges.
+std::size_t recovery_layering(const NotInvariantGraph& g,
+                              std::size_t num_threads);
+
 /// Exhaustive checker over |D|^K global states.
 ///
-/// Two engines share this interface:
+/// The engine decodes the state space exactly twice per full verdict.
+/// Pass 1 classifies every state (invariant membership + deadlock census)
+/// in one cursor sweep. Pass 2 walks successors once, checking closure for
+/// I-states and materializing the NotInvariantGraph over ¬I *ranks*
+/// (popcount-indexed into the invariant mask). The shared verdict stages
+/// above — livelock SCC, weak convergence, recovery layering — then run on
+/// that CSR with no further decoding, sweeping the packed bitsets in
+/// 64-byte tiles that skip fully-settled words; check_symmetric runs the
+/// same stages over necklace ranks.
 ///
-///  * The **fused** engine (default) decodes the state space exactly twice
-///    per full verdict. Pass 1 classifies every state (invariant membership
-///    + deadlock census) in one cursor sweep. Pass 2 walks successors once,
-///    checking closure for I-states and materializing the ¬I transition
-///    graph as a compact CSR over ¬I *ranks* (popcount-indexed into the
-///    invariant mask). Everything downstream — livelock SCCs (FB/FWBW
-///    parallel SCC, graph/parallel_scc.hpp), the weak-convergence backward
-///    fixpoint, and the recovery layering — then runs on the CSR with no
-///    further decoding, sweeping the packed bitsets in 64-byte tiles that
-///    skip fully-settled words.
-///
-///  * The **unfused** engine (`fused = false`) is the original pass-per-
-///    question layout: independent sweeps per predicate and a serial
-///    iterative Tarjan over the implicit graph for livelocks (run once and
-///    cached, serving both find_livelock() and livelock_states()). It is
-///    kept as the cross-validation baseline for tests and benchmarks.
-///
-/// Both engines produce identical verdicts, counts, samples, and step
-/// bounds at every thread count: per-chunk partial results are merged in
-/// ascending chunk order over a thread-count-independent chunk partition,
-/// and the SCC labeling is canonical (smallest member). Witness *cycles*
-/// are deterministic per engine (and valid in both), but the two engines
-/// may select different cycles through the same livelocked components.
+/// Verdicts, counts, samples, step bounds, and witness cycles are identical
+/// at every thread count: per-chunk partial results are merged in ascending
+/// chunk order over a thread-count-independent chunk partition, and the SCC
+/// labeling is canonical (smallest member). A serial brute-force reference
+/// checker in tests/ cross-validates every field.
 ///
 /// `num_threads > 1` runs the sweeps as chunked scans on the shared pool.
 /// A checker instance caches its sweeps and is not safe for concurrent use.
 class GlobalChecker {
  public:
-  explicit GlobalChecker(const RingInstance& ring, std::size_t num_threads = 1,
-                         bool fused = true)
-      : ring_(&ring),
-        num_threads_(num_threads == 0 ? 1 : num_threads),
-        fused_(fused) {}
+  /// At most this many deadlock samples are reported: pass 1 keeps the
+  /// first 8 (ascending) and no query re-sweeps for more.
+  static constexpr std::size_t kMaxSamples = 8;
+
+  explicit GlobalChecker(const RingInstance& ring, std::size_t num_threads = 1)
+      : ring_(&ring), num_threads_(num_threads == 0 ? 1 : num_threads) {}
 
   std::size_t num_threads() const { return num_threads_; }
-  bool fused() const { return fused_; }
 
   /// The packed I(K) membership mask, built (in parallel) on first use and
   /// cached for the checker's lifetime.
   const PackedBitset& invariant_mask() const;
 
-  /// Count (and sample up to `max_samples`) global deadlocks outside I.
+  /// Count global deadlocks outside I, and sample the first
+  /// min(`max_samples`, kMaxSamples) of them in ascending order.
   std::size_t count_deadlocks_outside_invariant(
       std::vector<GlobalStateId>* samples = nullptr,
-      std::size_t max_samples = 8) const;
+      std::size_t max_samples = kMaxSamples) const;
 
   /// Find a cycle of global states entirely outside I (a livelock witness).
   std::optional<std::vector<GlobalStateId>> find_livelock() const;
@@ -97,7 +118,8 @@ class GlobalChecker {
   /// ¬I SCCs), ascending.
   std::vector<GlobalStateId> livelock_states() const;
 
-  /// Closure of I (Section 2.3): no transition leaves I.
+  /// Closure of I (Section 2.3): no transition leaves I. The violation is
+  /// the smallest violating source with its first escaping successor.
   bool check_closure(
       std::optional<std::pair<GlobalStateId, GlobalStateId>>* violation =
           nullptr) const;
@@ -114,38 +136,25 @@ class GlobalChecker {
   GlobalCheckResult check_all() const;
 
  private:
-  static constexpr std::size_t kMaxCachedSamples = 8;
-
-  // Fused pipeline stages, each cached after the first call.
+  // Pipeline stages, each cached after the first call.
   void ensure_masks() const;  // pass 1: invariant mask + deadlock census
   void ensure_graph() const;  // pass 2: closure + ¬I CSR + rank tables
-  void ensure_scc() const;    // FB/FWBW SCC over the cached CSR
+  void ensure_scc() const;    // livelock_scc over the cached graph
   std::uint32_t rank_of(GlobalStateId s) const;
-
-  // Unfused: one full Tarjan serves both livelock queries.
-  void ensure_tarjan() const;
-
-  std::size_t fused_weak_convergence() const;  // returns |reachers| in ¬I
-  std::size_t fused_recovery_steps() const;
 
   const RingInstance* ring_;
   std::size_t num_threads_;
-  bool fused_;
 
-  mutable PackedBitset inv_mask_;  // empty until first use
-
-  // Fused pass 1 products.
+  // Pass 1 products.
   mutable bool census_done_ = false;
+  mutable PackedBitset inv_mask_;
   mutable std::size_t deadlock_count_ = 0;
   mutable std::vector<GlobalStateId> deadlock_samples_;  // first 8, ascending
 
-  // Fused pass 2 products. The CSR is over ¬I ranks: state s outside I has
-  // rank = #{t < s : t outside I}; word_rank_ holds the per-word prefix so
-  // rank_of() is one popcount. Edges into I are dropped from the CSR and
-  // recorded in to_inv_ instead.
+  // Pass 2 products. State s outside I has rank = #{t < s : t outside I};
+  // word_rank_ holds the per-word prefix so rank_of() is one popcount.
   mutable bool graph_built_ = false;
-  mutable CsrGraph csr_;
-  mutable PackedBitset to_inv_;
+  mutable NotInvariantGraph graph_;
   mutable std::vector<std::uint64_t> word_rank_;
   mutable std::vector<GlobalStateId> ni_ids_;  // rank -> global state id
   mutable bool closure_ok_ = true;
@@ -154,11 +163,6 @@ class GlobalChecker {
 
   mutable bool scc_done_ = false;
   mutable ParallelSccResult scc_;
-
-  // Unfused Tarjan cache.
-  mutable bool tarjan_done_ = false;
-  mutable std::optional<std::vector<GlobalStateId>> tarjan_witness_;
-  mutable std::vector<GlobalStateId> tarjan_states_;  // ascending
 };
 
 /// Convenience: does p(K) strongly self-stabilize to I(K)?

@@ -12,24 +12,14 @@
 namespace ringstab {
 namespace {
 
-constexpr std::uint8_t kInInv = 1;
-constexpr std::uint8_t kDeadlock = 2;
-constexpr std::uint32_t kUnvisited = 0xffffffffu;
+constexpr std::uint32_t kInI = 0xffffffffu;
 
 /// Dense view of the rotation quotient: necklaces in ascending canonical-id
-/// order plus their CSR transition graph (targets canonicalized to ranks,
-/// deduplicated and sorted per source).
+/// order, split by I-membership, plus the ¬I graph over ni_ids ranks.
 struct Quotient {
-  std::vector<GlobalStateId> ids;
-  std::vector<std::uint32_t> orbit;
-  std::vector<std::uint8_t> flags;  // kInInv | kDeadlock per rank
-  std::vector<std::uint64_t> row;   // CSR offsets, size ids.size() + 1
-  std::vector<std::uint32_t> col;   // CSR targets (ranks)
-
-  std::uint32_t size() const {
-    return static_cast<std::uint32_t>(ids.size());
-  }
-  bool in_inv(std::uint32_t r) const { return flags[r] & kInInv; }
+  std::vector<GlobalStateId> ni_ids;   // ¬I rank -> canonical id
+  std::vector<GlobalStateId> inv_ids;  // necklaces in I
+  NotInvariantGraph graph;
 };
 
 /// Chunk grain over the necklace prefix-slot space: a pure function of the
@@ -41,15 +31,12 @@ std::uint64_t slot_grain(std::uint64_t slots) {
 
 struct CensusBuild {
   NecklaceCensus census;
-  // Filled only when `collect`:
-  std::vector<GlobalStateId> ids;
-  std::vector<std::uint32_t> orbit;
-  std::vector<std::uint8_t> flags;
+  Quotient quotient;  // necklace ids filled only when `collect`
 };
 
 /// One pass of the parallel FKM enumeration: orbit-weighted deadlock census
-/// and (optionally) the dense necklace arrays, merged in ascending slot
-/// order.
+/// and (optionally) the necklace ids split by I-membership, merged in
+/// ascending slot order.
 CensusBuild run_census(const RingInstance& ring, std::size_t max_samples,
                        std::size_t num_threads, bool collect) {
   const obs::Span span("symmetry.necklace_census");
@@ -64,9 +51,7 @@ CensusBuild run_census(const RingInstance& ring, std::size_t max_samples,
     std::uint64_t orbit_states = 0;
     std::uint64_t deadlocks = 0;
     std::vector<GlobalStateId> reps;
-    std::vector<GlobalStateId> ids;
-    std::vector<std::uint32_t> orbit;
-    std::vector<std::uint8_t> flags;
+    std::vector<GlobalStateId> ni_ids, inv_ids;
   };
   std::vector<Chunk> tally(chunks);
 
@@ -97,24 +82,20 @@ CensusBuild run_census(const RingInstance& ring, std::size_t max_samples,
         t.deadlocks += orbit;
         if (t.reps.size() < max_samples) t.reps.push_back(id);
       }
-      if (collect) {
-        t.ids.push_back(id);
-        t.orbit.push_back(orbit);
-        t.flags.push_back(static_cast<std::uint8_t>((in_inv ? kInInv : 0) |
-                                                    (dead ? kDeadlock : 0)));
-      }
+      if (collect) (in_inv ? t.inv_ids : t.ni_ids).push_back(id);
     });
     if (block_ns != nullptr) block_ns->record(obs::now() - t0);
   });
 
   CensusBuild out;
-  std::uint64_t total = 0;
-  for (const Chunk& t : tally) total += t.necklaces;
-  if (collect) {
-    out.ids.reserve(total);
-    out.orbit.reserve(total);
-    out.flags.reserve(total);
+  Quotient& q = out.quotient;
+  std::uint64_t nni = 0, ninv = 0;
+  for (const Chunk& t : tally) {
+    nni += t.ni_ids.size();
+    ninv += t.inv_ids.size();
   }
+  q.ni_ids.reserve(nni);
+  q.inv_ids.reserve(ninv);
   for (const Chunk& t : tally) {
     out.census.num_necklaces += t.necklaces;
     out.census.orbit_states += t.orbit_states;
@@ -122,11 +103,8 @@ CensusBuild run_census(const RingInstance& ring, std::size_t max_samples,
     for (GlobalStateId id : t.reps)
       if (out.census.deadlock_orbit_reps.size() < max_samples)
         out.census.deadlock_orbit_reps.push_back(id);
-    if (collect) {
-      out.ids.insert(out.ids.end(), t.ids.begin(), t.ids.end());
-      out.orbit.insert(out.orbit.end(), t.orbit.begin(), t.orbit.end());
-      out.flags.insert(out.flags.end(), t.flags.begin(), t.flags.end());
-    }
+    q.ni_ids.insert(q.ni_ids.end(), t.ni_ids.begin(), t.ni_ids.end());
+    q.inv_ids.insert(q.inv_ids.end(), t.inv_ids.begin(), t.inv_ids.end());
   }
   RINGSTAB_ASSERT(out.census.orbit_states == ring.num_states(),
                   "necklace orbit sizes must partition |D|^K");
@@ -137,196 +115,116 @@ CensusBuild run_census(const RingInstance& ring, std::size_t max_samples,
   return out;
 }
 
-/// Canonicalized, deduplicated successor ranks of every necklace, as CSR.
-void build_quotient_graph(const RingInstance& ring, Quotient& q,
-                          std::size_t num_threads) {
+/// Builds q.graph: every ¬I necklace's successors canonicalized to ¬I
+/// ranks, sorted and deduplicated per source, self-loops kept, edges into I
+/// folded into to_inv. Checks closure on the I necklaces in the same pass
+/// and returns the smallest one with a successor outside I.
+std::optional<GlobalStateId> build_quotient_graph(const RingInstance& ring,
+                                                  Quotient& q,
+                                                  std::size_t num_threads) {
   const obs::Span span("symmetry.quotient_graph");
-  const std::uint32_t n = q.size();
   const std::size_t k = ring.ring_size();
   const auto& space = ring.protocol().space();
   const std::span<const GlobalStateId> pow{ring.powers()};
 
-  auto rank_of = [&](GlobalStateId id) {
-    const auto it = std::lower_bound(q.ids.begin(), q.ids.end(), id);
-    RINGSTAB_ASSERT(it != q.ids.end() && *it == id,
-                    "canonicalized successor is not an enumerated necklace");
-    return static_cast<std::uint32_t>(it - q.ids.begin());
+  // A canonical successor's ¬I rank, or kInI for a necklace in I.
+  auto locate = [&](GlobalStateId id) -> std::uint32_t {
+    const auto it = std::lower_bound(q.ni_ids.begin(), q.ni_ids.end(), id);
+    if (it != q.ni_ids.end() && *it == id)
+      return static_cast<std::uint32_t>(it - q.ni_ids.begin());
+    RINGSTAB_ASSERT(
+        std::binary_search(q.inv_ids.begin(), q.inv_ids.end(), id),
+        "canonicalized successor is not an enumerated necklace");
+    return kInI;
+  };
+  // Located successors of necklace `id`, in successors() order.
+  struct Scratch {
+    std::vector<Value> digits;
+    std::vector<RingInstance::Step> succ;
+    std::vector<std::uint32_t> targets;
+  };
+  auto expand = [&](GlobalStateId id, Scratch& s) {
+    ring.decode_into(id, s.digits);
+    ring.successors_from(id, s.digits.data(), s.succ);
+    s.targets.clear();
+    for (const auto& step : s.succ) {
+      const Value old_self = s.digits[step.process];
+      s.digits[step.process] = space.self(step.transition.to);
+      s.targets.push_back(
+          locate(canonical_necklace_id(s.digits.data(), k, pow)));
+      s.digits[step.process] = old_self;
+    }
   };
 
-  const std::uint64_t chunks = num_chunks(n, 0);
+  // Closure duty: only a chunk's first violation matters (the merge keeps
+  // the lowest), so the chunk stops there.
+  const std::uint64_t ninv = q.inv_ids.size();
+  std::vector<std::optional<GlobalStateId>> bad(num_chunks(ninv, 0));
+  parallel_for(ninv, num_threads, 0,
+               [&](const ChunkRange& chunk, std::size_t) {
+    Scratch s;
+    for (std::uint64_t i = chunk.begin; i < chunk.end; ++i) {
+      expand(q.inv_ids[i], s);
+      if (std::any_of(s.targets.begin(), s.targets.end(),
+                      [](std::uint32_t t) { return t != kInI; })) {
+        bad[chunk.index] = q.inv_ids[i];
+        return;
+      }
+    }
+  });
+
+  const std::uint32_t nni = static_cast<std::uint32_t>(q.ni_ids.size());
+  CsrGraph& csr = q.graph.csr;
+  q.graph.to_inv.assign(nni);
   struct Chunk {
     std::vector<std::uint32_t> deg;  // per rank in the chunk
     std::vector<std::uint32_t> col;
   };
-  std::vector<Chunk> built(chunks);
-  parallel_for(n, num_threads, 0, [&](const ChunkRange& chunk, std::size_t) {
+  std::vector<Chunk> built(num_chunks(nni, 0));
+  // Chunks start on multiples of a 64-aligned grain, so each chunk's
+  // to_inv bits live in chunk-private words: plain set() is race-free.
+  parallel_for(nni, num_threads, 0, [&](const ChunkRange& chunk, std::size_t) {
     Chunk& c = built[chunk.index];
     c.deg.assign(chunk.end - chunk.begin, 0);
-    std::vector<Value> digits;
-    std::vector<RingInstance::Step> succ;
-    std::vector<std::uint32_t> targets;
+    Scratch s;
     for (std::uint64_t r = chunk.begin; r < chunk.end; ++r) {
-      ring.decode_into(q.ids[r], digits);
-      ring.successors_from(q.ids[r], digits.data(), succ);
-      targets.clear();
-      for (const auto& step : succ) {
-        const Value old_self = digits[step.process];
-        digits[step.process] = space.self(step.transition.to);
-        targets.push_back(rank_of(
-            canonical_necklace_id(digits.data(), k, pow)));
-        digits[step.process] = old_self;
+      expand(q.ni_ids[r], s);
+      std::sort(s.targets.begin(), s.targets.end());
+      s.targets.erase(std::unique(s.targets.begin(), s.targets.end()),
+                      s.targets.end());
+      // kInI sorts last: drop it into to_inv.
+      if (!s.targets.empty() && s.targets.back() == kInI) {
+        q.graph.to_inv.set(r);
+        s.targets.pop_back();
       }
-      std::sort(targets.begin(), targets.end());
-      targets.erase(std::unique(targets.begin(), targets.end()),
-                    targets.end());
-      c.deg[r - chunk.begin] = static_cast<std::uint32_t>(targets.size());
-      c.col.insert(c.col.end(), targets.begin(), targets.end());
+      c.deg[r - chunk.begin] = static_cast<std::uint32_t>(s.targets.size());
+      c.col.insert(c.col.end(), s.targets.begin(), s.targets.end());
     }
   });
 
-  q.row.assign(n + 1, 0);
+  csr.row.assign(nni + 1, 0);
   std::uint64_t edges = 0;
   {
     std::uint64_t rank = 0;
     for (const Chunk& c : built)
       for (std::uint32_t d : c.deg) {
-        q.row[rank++] = edges;
+        csr.row[rank++] = edges;
         edges += d;
       }
-    q.row[n] = edges;
+    csr.row[nni] = edges;
   }
-  q.col.reserve(edges);
+  csr.col.reserve(edges);
   for (const Chunk& c : built)
-    q.col.insert(q.col.end(), c.col.begin(), c.col.end());
+    csr.col.insert(csr.col.end(), c.col.begin(), c.col.end());
   obs::counter("symmetry.quotient_edges").add(edges);
   if (obs::enabled())
     obs::gauge("mem.csr_bytes")
-        .set(q.row.size() * sizeof(q.row[0]) + q.col.size() * sizeof(q.col[0]));
-}
+        .set(csr.row.size() * sizeof(csr.row[0]) +
+             csr.col.size() * sizeof(csr.col[0]));
 
-/// Closure of I on the quotient: a necklace in I with any successor orbit
-/// outside I breaks closure; the reported witness is re-derived as an
-/// actual (source, target) transition of the smallest violating rank.
-bool check_quotient_closure(
-    const RingInstance& ring, const Quotient& q, std::size_t num_threads,
-    std::optional<std::pair<GlobalStateId, GlobalStateId>>* violation) {
-  const obs::Span span("symmetry.closure");
-  const std::uint32_t n = q.size();
-  const std::uint64_t chunks = num_chunks(n, 0);
-  std::vector<std::uint32_t> first_bad(chunks, kUnvisited);
-  parallel_for(n, num_threads, 0, [&](const ChunkRange& chunk, std::size_t) {
-    for (std::uint64_t r = chunk.begin; r < chunk.end; ++r) {
-      if (!q.in_inv(static_cast<std::uint32_t>(r))) continue;
-      for (std::uint64_t e = q.row[r]; e < q.row[r + 1]; ++e) {
-        if (!q.in_inv(q.col[e])) {
-          first_bad[chunk.index] = static_cast<std::uint32_t>(r);
-          return;
-        }
-      }
-    }
-  });
-  for (std::uint64_t c = 0; c < chunks; ++c) {
-    if (first_bad[c] == kUnvisited) continue;
-    if (violation) {
-      // Re-derive a concrete escaping transition from the canonical source.
-      const GlobalStateId s = q.ids[first_bad[c]];
-      std::vector<RingInstance::Step> succ;
-      ring.successors(s, succ);
-      for (const auto& step : succ) {
-        if (!ring.in_invariant(step.target)) {
-          *violation = {s, step.target};
-          break;
-        }
-      }
-    }
-    return false;
-  }
-  return true;
-}
-
-/// Backward fixpoint "can reach I" over the quotient graph, in synchronous
-/// (Jacobi) rounds exactly like the full-space engine, so the round count
-/// and result are thread-count-invariant.
-bool check_quotient_weak_convergence(const Quotient& q,
-                                     std::size_t num_threads) {
-  const obs::Span span("symmetry.weak_convergence");
-  obs::Counter& rounds = obs::counter("symmetry.fixpoint_rounds");
-  const std::uint32_t n = q.size();
-  std::vector<std::uint8_t> reaches(n), next(n);
-  for (std::uint32_t r = 0; r < n; ++r) reaches[r] = q.in_inv(r) ? 1 : 0;
-  const std::uint64_t chunks = num_chunks(n, 0);
-  std::vector<std::uint8_t> chunk_changed(chunks, 0);
-  while (true) {
-    rounds.add(1);
-    next = reaches;
-    std::fill(chunk_changed.begin(), chunk_changed.end(), 0);
-    parallel_for(n, num_threads, 0,
-                 [&](const ChunkRange& chunk, std::size_t) {
-      bool changed = false;
-      for (std::uint64_t r = chunk.begin; r < chunk.end; ++r) {
-        if (reaches[r]) continue;
-        for (std::uint64_t e = q.row[r]; e < q.row[r + 1]; ++e) {
-          if (reaches[q.col[e]]) {
-            next[r] = 1;
-            changed = true;
-            break;
-          }
-        }
-      }
-      chunk_changed[chunk.index] = changed;
-    });
-    if (std::find(chunk_changed.begin(), chunk_changed.end(), 1) ==
-        chunk_changed.end())
-      break;
-    std::swap(reaches, next);
-  }
-  return std::find(reaches.begin(), reaches.end(), 0) == reaches.end();
-}
-
-/// Livelock pass on the ¬I-restricted quotient graph, via the shared
-/// FB/FWBW parallel SCC engine (graph/parallel_scc.hpp). Unlike the full
-/// space, the quotient can have self-loops (a transition landing on a
-/// nontrivial rotation of its source); a self-loop is a cycle. The witness
-/// is canonical — anchored at the smallest ¬I rank lying on any cycle — so
-/// it is bit-identical for every thread count. Returns quotient ranks, or
-/// nullopt when the ¬I quotient is acyclic.
-std::optional<std::vector<std::uint32_t>> find_quotient_cycle(
-    const Quotient& q, std::size_t num_threads) {
-  const obs::Span span("symmetry.livelock_scc");
-  const std::uint32_t n = q.size();
-  // Compact the ¬I ranks into a sub-CSR: sub[i] is the i-th rank outside I,
-  // edges into I are dropped (they cannot lie on a ¬I cycle), self-loops
-  // are kept.
-  std::vector<std::uint32_t> sub_of(n, kUnvisited), rank_of;
-  for (std::uint32_t r = 0; r < n; ++r)
-    if (!q.in_inv(r)) {
-      sub_of[r] = static_cast<std::uint32_t>(rank_of.size());
-      rank_of.push_back(r);
-    }
-  CsrGraph g;
-  g.row.assign(rank_of.size() + 1, 0);
-  for (std::uint32_t i = 0; i < rank_of.size(); ++i) {
-    const std::uint32_t r = rank_of[i];
-    g.row[i + 1] = g.row[i];
-    for (std::uint64_t e = q.row[r]; e < q.row[r + 1]; ++e)
-      if (sub_of[q.col[e]] != kUnvisited) {
-        g.col.push_back(sub_of[q.col[e]]);
-        ++g.row[i + 1];
-      }
-  }
-
-  const ParallelSccResult scc = parallel_scc(g, num_threads);
-  std::uint32_t start = kUnvisited;
-  for (std::uint32_t v = 0; v < rank_of.size(); ++v)
-    if (scc.on_cycle(v)) {
-      start = v;
-      break;
-    }
-  if (start == kUnvisited) return std::nullopt;
-  std::vector<std::uint32_t> cycle;
-  for (const std::uint32_t v : extract_component_cycle(g, scc, start))
-    cycle.push_back(rank_of[v]);
-  return cycle;
+  for (const auto& source : bad)
+    if (source) return source;
+  return std::nullopt;
 }
 
 /// Lift a quotient cycle to a genuine full-space cycle: walk actual
@@ -343,7 +241,7 @@ std::vector<GlobalStateId> lift_quotient_cycle(
   std::unordered_map<GlobalStateId, std::size_t> seen_at_start;
   std::vector<RingInstance::Step> succ;
   std::vector<Value> digits;
-  GlobalStateId x = q.ids[cycle[0]];
+  GlobalStateId x = q.ni_ids[cycle[0]];
   for (std::size_t lap = 0; lap <= k; ++lap) {
     const auto [it, fresh] = seen_at_start.emplace(x, path.size());
     if (!fresh) {
@@ -354,7 +252,7 @@ std::vector<GlobalStateId> lift_quotient_cycle(
     }
     for (std::size_t i = 0; i < cycle.size(); ++i) {
       path.push_back(x);
-      const GlobalStateId want = q.ids[cycle[(i + 1) % cycle.size()]];
+      const GlobalStateId want = q.ni_ids[cycle[(i + 1) % cycle.size()]];
       ring.successors(x, succ);
       bool stepped = false;
       for (const auto& step : succ) {
@@ -370,35 +268,6 @@ std::vector<GlobalStateId> lift_quotient_cycle(
   }
   RINGSTAB_ASSERT(false, "quotient cycle lift did not close within K laps");
   return {};
-}
-
-/// Longest path to I on the quotient (rotation-invariant, so it equals the
-/// full-space recovery bound). Memoized DFS; only called when the instance
-/// strongly converges, mirroring the plain checker.
-std::size_t quotient_recovery_steps(const Quotient& q) {
-  const obs::Span span("symmetry.recovery_layering");
-  constexpr std::uint32_t kUnknown = 0xfffffffeu;
-  constexpr std::uint32_t kInProgress = 0xfffffffdu;
-  const std::uint32_t n = q.size();
-  std::vector<std::uint32_t> depth(n, kUnknown);
-  std::size_t best = 0;
-  auto dfs = [&](auto&& self, std::uint32_t r) -> std::uint32_t {
-    if (q.in_inv(r)) return 0;
-    if (depth[r] == kInProgress)
-      throw ModelError("cycle outside I: not strongly converging");
-    if (depth[r] != kUnknown) return depth[r];
-    depth[r] = kInProgress;
-    if (q.row[r] == q.row[r + 1])
-      throw ModelError("deadlock outside I: not strongly converging");
-    std::uint32_t d = 0;
-    for (std::uint64_t e = q.row[r]; e < q.row[r + 1]; ++e)
-      d = std::max(d, 1 + self(self, q.col[e]));
-    depth[r] = d;
-    return d;
-  };
-  for (std::uint32_t r = 0; r < n; ++r)
-    best = std::max<std::size_t>(best, dfs(dfs, r));
-  return best;
 }
 
 }  // namespace
@@ -434,27 +303,31 @@ SymmetricCheckResult check_symmetric(const RingInstance& ring,
   CensusBuild build =
       run_census(ring, max_samples, num_threads, /*collect=*/true);
   res.num_necklaces = build.census.num_necklaces;
-  res.canonical_states_visited = build.census.num_necklaces;
   res.num_deadlocks_outside_i = build.census.num_deadlocks_outside_i;
   res.deadlock_orbit_reps = std::move(build.census.deadlock_orbit_reps);
 
-  Quotient q;
-  q.ids = std::move(build.ids);
-  q.orbit = std::move(build.orbit);
-  q.flags = std::move(build.flags);
-  RINGSTAB_ASSERT(q.ids.size() < kUnvisited,
+  Quotient& q = build.quotient;
+  RINGSTAB_ASSERT(q.ni_ids.size() < kInI,
                   "quotient too large for 32-bit ranks");
-  build_quotient_graph(ring, q, num_threads);
-
-  res.closure_ok =
-      check_quotient_closure(ring, q, num_threads, &res.closure_violation);
-  res.weakly_converges = check_quotient_weak_convergence(q, num_threads);
-  if (const auto cycle = find_quotient_cycle(q, num_threads)) {
+  if (const auto source = build_quotient_graph(ring, q, num_threads)) {
+    // Re-derive a concrete escaping transition from the canonical source.
+    res.closure_ok = false;
+    std::vector<RingInstance::Step> succ;
+    ring.successors(*source, succ);
+    for (const auto& step : succ)
+      if (!ring.in_invariant(step.target)) {
+        res.closure_violation = {*source, step.target};
+        break;
+      }
+  }
+  res.weakly_converges = all_reach_invariant(q.graph, num_threads);
+  const ParallelSccResult scc = livelock_scc(q.graph, num_threads);
+  if (const auto cycle = livelock_witness(q.graph, scc)) {
     res.has_livelock = true;
     res.livelock_cycle = lift_quotient_cycle(ring, q, *cycle);
   }
   if (res.strongly_converges())
-    res.max_recovery_steps = quotient_recovery_steps(q);
+    res.max_recovery_steps = recovery_layering(q.graph, num_threads);
   return res;
 }
 

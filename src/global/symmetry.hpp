@@ -7,22 +7,22 @@
 //
 //  * deadlock / membership in I are rotation-invariant state predicates, so
 //    orbit-size weighting recovers the plain checker's exact counts;
-//  * closure and reachability-of-I are rotation-invariant, so the quotient
-//    fixpoints decide them;
+//  * closure, reachability-of-I, and recovery depth are rotation-invariant,
+//    so the quotient graph decides them;
 //  * a livelock exists iff the quotient transition graph restricted to ¬I
 //    has a cycle (possibly a self-loop): a real cycle projects to a
 //    quotient cycle, and a quotient cycle lifts — following it returns to a
 //    rotation ρ of the start, and iterating ord(ρ) times closes a genuine
 //    cycle, which check_symmetric materializes as its witness.
 //
-// The quotient is enumerated by the FKM necklace recursion (necklace.hpp):
-// each orbit representative is produced directly, in ascending canonical-id
-// order, in amortized O(1) — never scanning the |D|^K full space. This
-// replaced the seed's scan-and-filter canonicalization, whose O(K²)
-// per-state cost ate the ~K× orbit savings in wall time; the enumerated
-// quotient pays in wall time as well as state count (measured in
-// EXP-S1c / BENCH_symmetry.json: the quotient census beats the full-space
-// sweep from K≈10 upward and the gap widens with K).
+// check_symmetric is the second front-end of the verdict pipeline in
+// checker.hpp: the FKM necklace recursion (necklace.hpp) enumerates each
+// orbit representative directly, in ascending canonical-id order and
+// amortized O(1), never scanning the |D|^K full space; the ¬I necklaces,
+// with canonicalized successors, become a NotInvariantGraph, and the shared
+// livelock, weak-convergence, and recovery stages run on it unchanged.
+// EXP-S1c / BENCH_symmetry.json measure the census against the full-space
+// sweep: the quotient wins from K≈10 upward and the gap widens with K.
 #pragma once
 
 #include <optional>
@@ -68,6 +68,7 @@ NecklaceCensus necklace_census(const RingInstance& ring,
 struct SymmetricCheckResult {
   std::size_t ring_size = 0;
   GlobalStateId num_states = 0;  // |D|^K, the space never materialized
+  /// Canonical states actually visited (the cost — compare |D|^K).
   std::size_t num_necklaces = 0;
 
   /// Orbit-aware deadlock count: equals the plain checker's count exactly.
@@ -92,18 +93,14 @@ struct SymmetricCheckResult {
   /// this equals GlobalChecker::max_recovery_steps().
   std::size_t max_recovery_steps = 0;
 
-  /// Canonical states actually visited (== num_necklaces; the cost —
-  /// compare |D|^K).
-  std::size_t canonical_states_visited = 0;
-
   bool strongly_converges() const {
     return closure_ok && num_deadlocks_outside_i == 0 && !has_livelock;
   }
 };
 
-/// `num_threads > 1` parallelizes the necklace enumeration, quotient-graph
-/// build, closure scan, weak-convergence fixpoint, and the FB/FWBW livelock
-/// SCC pass on the shared pool; all results — including the lifted livelock
+/// `num_threads > 1` parallelizes the necklace enumeration, the
+/// quotient-graph build with its closure scan, and the shared verdict
+/// stages on the shared pool; all results — including the lifted livelock
 /// witness, which is anchored canonically — stay identical to the serial
 /// run at every thread count.
 SymmetricCheckResult check_symmetric(const RingInstance& ring,

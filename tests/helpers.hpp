@@ -1,5 +1,5 @@
-// Shared test utilities: the protocol zoo, random protocol generation, and
-// local-vs-global cross-validation helpers.
+// Shared test utilities: the protocol zoo, random protocol generation,
+// local-vs-global cross-validation helpers, and the serial reference checker.
 #pragma once
 
 #include <random>
@@ -33,5 +33,23 @@ bool global_has_deadlock(const Protocol& p, std::size_t k);
 
 /// True iff p(K) has a livelock (cycle outside I).
 bool global_has_livelock(const Protocol& p, std::size_t k);
+
+/// The serial reference checker's answer for p(K).
+struct ReferenceResult {
+  /// Every GlobalCheckResult field, with the engine's tie-breaks: the first
+  /// 8 deadlocks ascending, and the smallest violating I-state with its
+  /// first escaping successor in successors() order. The witness cycle is
+  /// some valid cycle outside I, not necessarily the engine's.
+  GlobalCheckResult verdict;
+  /// All states on a cycle outside I, ascending.
+  std::vector<GlobalStateId> livelock_states;
+};
+
+/// Serial brute force over RingInstance::successors, in_invariant and
+/// is_deadlock: livelocks by the serial Tarjan (graph/scc.hpp), weak
+/// convergence by backward BFS, recovery by memoized DFS. It shares none of
+/// the CSR or fixpoint code of GlobalChecker and check_symmetric, so it is
+/// the oracle both are cross-validated against. Small K only.
+ReferenceResult reference_check(const RingInstance& ring);
 
 }  // namespace ringstab::testing

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "helpers.hpp"
 #include "protocols/agreement.hpp"
 #include "protocols/coloring.hpp"
@@ -111,6 +113,16 @@ TEST(Checker, DeadlockSamplesAreRealDeadlocks) {
     EXPECT_TRUE(r.is_deadlock(s));
     EXPECT_FALSE(r.in_invariant(s));
   }
+}
+
+TEST(Checker, DeadlockSamplesAreCappedAtEight) {
+  const RingInstance r(protocols::coloring_empty(3), 5);
+  std::vector<GlobalStateId> samples;
+  const std::size_t count =
+      GlobalChecker(r).count_deadlocks_outside_invariant(&samples, 20);
+  ASSERT_GT(count, 20u);
+  EXPECT_EQ(samples.size(), 8u);
+  EXPECT_TRUE(std::is_sorted(samples.begin(), samples.end()));
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // The FB/FWBW parallel SCC engine: canonical labels cross-validated against
 // the serial Tarjan on randomized digraphs, plus end-to-end livelock
-// agreement between the fused (parallel-SCC) and unfused (Tarjan) global
-// engines over the protocol zoo, at 1 and 4 threads.
+// agreement between the global engine (parallel SCC, at 1 and 4 threads)
+// and the serial reference checker over the protocol zoo.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -140,24 +140,24 @@ TEST(ParallelScc, WitnessCycleIsClosedAndInComponent) {
   }
 }
 
-/// The fused engine's livelock verdicts and state sets must match the
-/// unfused (serial Tarjan) engine exactly over the zoo, and the fused
-/// witness must be bit-identical between 1 and 4 threads.
+/// The global engine's livelock verdicts and state sets must match the
+/// serial reference checker (Tarjan) exactly over the zoo, and its witness
+/// must be bit-identical between 1 and 4 threads.
 TEST(ParallelScc, GlobalEngineMatchesTarjanOverZoo) {
   for (const Protocol& p : testing::protocol_zoo()) {
     for (std::size_t k = 2; k <= 8; ++k) {
       RingInstance ring(p, k);
-      const GlobalChecker fused1(ring, 1);
-      const GlobalChecker fused4(ring, 4);
-      const GlobalChecker tarjan(ring, 1, /*fused=*/false);
+      const GlobalChecker checker1(ring, 1);
+      const GlobalChecker checker4(ring, 4);
+      const testing::ReferenceResult ref = testing::reference_check(ring);
 
-      const auto states = fused1.livelock_states();
-      ASSERT_EQ(states, tarjan.livelock_states()) << p.name() << " K=" << k;
-      ASSERT_EQ(states, fused4.livelock_states()) << p.name() << " K=" << k;
+      const auto states = checker1.livelock_states();
+      ASSERT_EQ(states, ref.livelock_states) << p.name() << " K=" << k;
+      ASSERT_EQ(states, checker4.livelock_states()) << p.name() << " K=" << k;
 
-      const auto w1 = fused1.find_livelock();
-      const auto w4 = fused4.find_livelock();
-      ASSERT_EQ(w1.has_value(), tarjan.find_livelock().has_value())
+      const auto w1 = checker1.find_livelock();
+      const auto w4 = checker4.find_livelock();
+      ASSERT_EQ(w1.has_value(), ref.verdict.has_livelock)
           << p.name() << " K=" << k;
       ASSERT_EQ(w1, w4) << p.name() << " K=" << k;
       if (!w1) continue;

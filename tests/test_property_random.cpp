@@ -1,14 +1,19 @@
-// Property-based cross-validation: the local theorems vs. exhaustive global
-// model checking on randomly generated protocols.
+// Property-based cross-validation on randomly generated protocols: the
+// local theorems vs. exhaustive global model checking, and the global
+// engines vs. each other and the serial reference checker.
 #include <gtest/gtest.h>
 
 #include <random>
+#include <string>
 
+#include "core/fmt.hpp"
+#include "global/symmetry.hpp"
 #include "helpers.hpp"
 #include "local/closure.hpp"
 #include "local/deadlock.hpp"
 #include "local/livelock.hpp"
 #include "local/rcg.hpp"
+#include "protocols/herman.hpp"
 
 namespace ringstab {
 namespace {
@@ -110,6 +115,84 @@ TEST_P(RandomProtocolTest, BidirectionalDeadlockSpectrumMatchesGlobal) {
       EXPECT_EQ(res.size_spectrum.at(k), testing::global_has_deadlock(p, k))
           << p.name() << " K=" << k;
   }
+}
+
+// Differential harness: the global checker and the rotation quotient, each
+// at 1 and 4 threads, must return the serial reference checker's verdict,
+// and every livelock witness must replay as a cyclic computation outside I.
+void expect_witness_replays(const RingInstance& ring,
+                            const std::vector<GlobalStateId>& cycle,
+                            const std::string& where) {
+  ASSERT_FALSE(cycle.empty()) << where;
+  for (const GlobalStateId s : cycle)
+    EXPECT_FALSE(ring.in_invariant(s)) << where;
+  EXPECT_NO_THROW((void)schedule_from_path(ring, cycle, /*cyclic=*/true))
+      << where;
+}
+
+template <class Result>
+void expect_same_verdict(const RingInstance& ring, const Result& got,
+                         const GlobalCheckResult& want,
+                         const std::string& where) {
+  EXPECT_EQ(got.num_deadlocks_outside_i, want.num_deadlocks_outside_i)
+      << where;
+  EXPECT_EQ(got.closure_ok, want.closure_ok) << where;
+  // The smallest violating state is canonical (violation is
+  // rotation-invariant), so the quotient reports the same pair.
+  EXPECT_EQ(got.closure_violation, want.closure_violation) << where;
+  EXPECT_EQ(got.has_livelock, want.has_livelock) << where;
+  EXPECT_EQ(got.weakly_converges, want.weakly_converges) << where;
+  EXPECT_EQ(got.max_recovery_steps, want.max_recovery_steps) << where;
+  if (got.has_livelock)
+    expect_witness_replays(ring, got.livelock_cycle, where);
+}
+
+void expect_engines_agree(const Protocol& p) {
+  for (std::size_t k = 2; k <= 7; ++k) {
+    const RingInstance ring(p, k);
+    const testing::ReferenceResult ref = testing::reference_check(ring);
+    const GlobalCheckResult& want = ref.verdict;
+    const std::string where = cat(p.name(), " K=", k);
+    if (want.has_livelock)
+      expect_witness_replays(ring, want.livelock_cycle, where + " reference");
+    for (const std::size_t threads : {1u, 4u}) {
+      const std::string at = cat(where, " threads=", threads);
+      const GlobalChecker checker(ring, threads);
+      const GlobalCheckResult global = checker.check_all();
+      expect_same_verdict(ring, global, want, at + " global");
+      EXPECT_EQ(global.deadlock_samples, want.deadlock_samples) << at;
+      EXPECT_EQ(checker.livelock_states(), ref.livelock_states) << at;
+      expect_same_verdict(ring, check_symmetric(ring, 8, threads), want,
+                          at + " quotient");
+    }
+  }
+}
+
+TEST_P(RandomProtocolTest, AllEnginesAgree) {
+  std::mt19937_64 rng(GetParam() ^ 0x0ddba11ull);
+  testing::RandomProtocolOptions bidirectional;
+  bidirectional.allow_bidirectional = true;
+  for (int i = 0; i < 4; ++i) {
+    expect_engines_agree(testing::random_protocol(rng));
+    expect_engines_agree(testing::random_protocol(rng, bidirectional));
+  }
+}
+
+// The random protocols the symmetry tests used to check for deadlock and
+// livelock agreement alone, now held to every field.
+TEST(DifferentialHarness, SymmetrySuiteProtocols) {
+  std::mt19937_64 rng(2024);
+  for (int i = 0; i < 12; ++i)
+    expect_engines_agree(testing::random_protocol(rng));
+}
+
+// Random protocols never fire inside I, so they keep I closed. Herman's
+// ring breaks closure at even K: it drives both engines' closure-violation
+// path, and the harness checks the reported pair against the reference.
+TEST(DifferentialHarness, HermanClosureViolations) {
+  const Protocol p = protocols::herman_ring();
+  EXPECT_FALSE(testing::reference_check(RingInstance(p, 4)).verdict.closure_ok);
+  expect_engines_agree(p);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomProtocolTest,
