@@ -1,17 +1,39 @@
-// EXP-A1: the abstract-interpretation static rejection lane
-// (analysis/absint.hpp) as a synthesis accelerator. For each skeleton the
-// report runs the local portfolio synthesizer with the lane on and off,
-// checks the verdicts are bit-identical (the lane's soundness contract),
-// and reports the static rejection rate and the candidates/sec delta.
+// EXP-A2: the synthesizers' static rejection lane (analysis/absint.hpp),
+// priced against the concrete work each refutation replaces. For each
+// skeleton the report takes the candidates the local synthesizer examines
+// (CLI defaults, one lane) and splits them by the lane's verdict:
+//   ill-formed   lane.refute vs p.with_added + lint_candidate_errors
+//   certificate  lane.refute vs p.with_added + the NPL check + the trail
+//                search + trail classification (realize_trail)
+//   undecided    lane.refute's overhead on candidates the concrete pipeline
+//                evaluates anyway
+// On the certificate and undecided classes, lane.refute is also timed
+// against lane.refute_ill_formed_only, so the trail-certificate stage's own
+// cost is reported apart from the ill-formedness screen. The concrete trail
+// work runs without the synthesizer's 'N'/'T' memo, so it is an upper bound
+// on what a certificate saves inside a synthesis run.
+// The concrete side must reach the lane's verdict on every candidate: an
+// ill-formed candidate must carry lint errors and an undecided one none, and
+// a certificate must be a trail the search finds. The bench throws on any
+// disagreement rather than publish numbers for an unsound lane.
 //
 // Artifact: BENCH_absint.json (committed at the repo root, schema-checked
 // by the perf_validate_bench ctest entry).
+#include <algorithm>
 #include <chrono>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "analysis/absint.hpp"
+#include "analysis/lint.hpp"
 #include "bench_util.hpp"
+#include "core/fmt.hpp"
+#include "global/trail_check.hpp"
+#include "local/livelock.hpp"
+#include "local/pseudo_livelock.hpp"
+#include "parallel/thread_pool.hpp"
 #include "protocols/agreement.hpp"
 #include "protocols/coloring.hpp"
 #include "protocols/matching.hpp"
@@ -23,80 +45,99 @@ namespace {
 
 using namespace ringstab;
 
-SynthesisOptions options(bool lane, std::size_t threads = 1) {
-  SynthesisOptions o;
-  o.static_reject_lane = lane;
-  o.num_threads = threads;
-  return o;
-}
+using Additions = std::vector<std::vector<LocalTransition>>;
 
-double ms_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - t0)
-      .count();
-}
+/// Best of `kReps` wall times: one pass over a class is short enough that
+/// scheduler noise can drown the difference being measured.
+constexpr int kReps = 5;
 
-struct LaneRun {
-  std::size_t candidates = 0;
-  std::size_t solutions = 0;
-  std::size_t static_ill = 0;
-  std::size_t static_trail = 0;
-  double on_ms = 0;
-  double off_ms = 0;
-};
-
-/// Run lane-on and lane-off, verify bit-identity, collect the tallies.
-/// Throws on any verdict divergence — a bench that would publish numbers
-/// for an unsound lane must die instead.
-LaneRun run_case(const std::string& name, const Protocol& p,
-                 std::size_t threads) {
-  // Best-of-3 per side: one synthesis run is short enough that scheduler
-  // noise can drown a 10% delta.
-  constexpr int kReps = 3;
-  LaneRun r;
-  SynthesisResult on, off;
-  r.on_ms = r.off_ms = 1e300;
+double best_ms(const std::function<void()>& fn) {
+  double best = 1e300;
   for (int rep = 0; rep < kReps; ++rep) {
     const auto t0 = std::chrono::steady_clock::now();
-    on = synthesize_convergence(p, options(true, threads));
-    r.on_ms = std::min(r.on_ms, ms_since(t0));
-    const auto t1 = std::chrono::steady_clock::now();
-    off = synthesize_convergence(p, options(false, threads));
-    r.off_ms = std::min(r.off_ms, ms_since(t1));
+    fn();
+    best = std::min(best, std::chrono::duration<double, std::milli>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count());
   }
+  return best;
+}
 
-  if (on.candidates_examined != off.candidates_examined ||
-      on.solutions.size() != off.solutions.size() ||
-      on.reports.size() != off.reports.size())
-    throw std::runtime_error("lane changed result shape on " + name);
-  for (std::size_t i = 0; i < on.reports.size(); ++i)
-    if (on.reports[i].status != off.reports[i].status ||
-        on.reports[i].added != off.reports[i].added)
-      throw std::runtime_error("lane changed verdict " + std::to_string(i) +
-                               " on " + name);
-  for (std::size_t i = 0; i < on.solutions.size(); ++i)
-    if (on.solutions[i].added != off.solutions[i].added ||
-        on.solutions[i].protocol.name() != off.solutions[i].protocol.name())
-      throw std::runtime_error("lane changed solution " + std::to_string(i) +
-                               " on " + name);
+/// best_ms over one class of candidates; an empty class costs nothing.
+double class_ms(const Additions& cands,
+                const std::function<void()>& fn) {
+  return cands.empty() ? 0.0 : best_ms(fn);
+}
 
-  r.candidates = on.candidates_examined;
-  r.solutions = on.solutions.size();
-  for (const auto& rep : on.reports) {
-    if (!rep.static_reject) continue;
-    if (rep.status == CandidateReport::Status::kRejectedTrail)
-      ++r.static_trail;
+/// The examined candidates, split by the lane's verdict.
+struct Split {
+  Additions ill_formed, certificates, undecided;
+};
+
+Split split_by_lane(const std::string& name, const StaticRejectionLane& lane,
+                    const SynthesisResult& res) {
+  Split split;
+  for (const CandidateReport& rep : res.reports) {
+    const auto rej = lane.refute(rep.added);
+    if (rej.has_value() != rep.static_reject)
+      throw std::runtime_error(name + ": lane verdict differs from the "
+                                      "synthesizer's report");
+    if (!rej)
+      split.undecided.push_back(rep.added);
+    else if (rej->kind == StaticRejectionLane::Rejection::Kind::kIllFormed)
+      split.ill_formed.push_back(rep.added);
     else
-      ++r.static_ill;
+      split.certificates.push_back(rep.added);
   }
-  return r;
+  return split;
+}
+
+void lane_pass(const StaticRejectionLane& lane, const Additions& cands) {
+  for (const auto& added : cands) benchmark::DoNotOptimize(lane.refute(added));
+}
+
+/// The lane without its certificate stage.
+void screen_pass(const StaticRejectionLane& lane, const Additions& cands) {
+  for (const auto& added : cands)
+    benchmark::DoNotOptimize(lane.refute_ill_formed_only(added));
+}
+
+/// Lint's error screen on each revision: what an ill-formed rejection saves.
+/// `want_errors` is the lane's verdict the screen must reproduce.
+void lint_pass(const std::string& name, const Protocol& p,
+               const Additions& cands, bool want_errors) {
+  for (std::size_t i = 0; i < cands.size(); ++i) {
+    const Protocol pss = p.with_added(cat(p.name(), "_ss", i), cands[i]);
+    if (lint_candidate_errors(pss).empty() == want_errors)
+      throw std::runtime_error(cat(name, ": lint disagrees with the lane on "
+                                         "candidate ", i));
+  }
+}
+
+/// NPL, trail search and classification on each revision: what a trail
+/// certificate saves. Each must end in the trail the lane certified exists.
+void trail_pass(const std::string& name, const Protocol& p,
+                const Additions& cands) {
+  for (std::size_t i = 0; i < cands.size(); ++i) {
+    const Protocol pss = p.with_added(cat(p.name(), "_ss", i), cands[i]);
+    const LivelockAnalysis live = check_livelock_freedom(pss);
+    if (!WriteProjection(pss, {}).has_pseudo_livelock() ||
+        live.verdict != LivelockAnalysis::Verdict::kTrailFound)
+      throw std::runtime_error(cat(name, ": the trail search does not "
+                                         "confirm certificate ", i));
+    try {
+      benchmark::DoNotOptimize(realize_trail(pss, *live.trail()).verdict);
+    } catch (const CapacityError&) {
+      // implied K beyond RingInstance's cap: the synthesizer skips it too
+    }
+  }
 }
 
 void report() {
-  bench::header("EXP-A1 (static rejection lane)", "BENCH_absint.json",
-                "candidates refuted from skeleton facts alone skip memo "
-                "traffic, trail searches and classification sweeps; "
-                "verdicts stay bit-identical");
+  bench::header("EXP-A2 (static rejection lane)", "BENCH_absint.json",
+                "the concrete work agrees with every lane verdict; the "
+                "certificate stage's own cost is priced apart from the "
+                "ill-formedness screen");
 
   const struct {
     const char* name;
@@ -111,78 +152,101 @@ void report() {
 
   std::vector<bench::Json> runs;
   for (const auto& c : cases) {
-    const LaneRun r = run_case(c.name, c.p, 1);
-    const std::size_t rejects = r.static_ill + r.static_trail;
-    const double rate =
-        r.candidates == 0 ? 0.0
-                          : static_cast<double>(rejects) /
-                                static_cast<double>(r.candidates);
-    const double cps_on = r.on_ms <= 0.0
-                              ? 0.0
-                              : 1000.0 * static_cast<double>(r.candidates) /
-                                    r.on_ms;
-    const double cps_off = r.off_ms <= 0.0
-                               ? 0.0
-                               : 1000.0 * static_cast<double>(r.candidates) /
-                                     r.off_ms;
-    bench::row(c.name,
-               "identical solution sets with the lane on or off",
-               std::to_string(r.candidates) + " candidates, " +
-                   std::to_string(rejects) + " static rejects (" +
-                   std::to_string(r.static_ill) + " ill-formed, " +
-                   std::to_string(r.static_trail) + " trail), " +
-                   std::to_string(r.on_ms) + " ms on / " +
-                   std::to_string(r.off_ms) + " ms off");
+    SynthesisResult res;
+    const double synth_ms =
+        best_ms([&] { res = synthesize_convergence(c.p); });
+    const StaticRejectionLane lane(c.p);
+    const Split split = split_by_lane(c.name, lane, res);
+    const Additions& ill = split.ill_formed;
+    const Additions& cert = split.certificates;
+    const Additions& undecided = split.undecided;
+    lint_pass(c.name, c.p, undecided, /*want_errors=*/false);
+
+    const double lane_ill_ms = class_ms(ill, [&] { lane_pass(lane, ill); });
+    const double lint_ms = class_ms(
+        ill, [&] { lint_pass(c.name, c.p, ill, /*want_errors=*/true); });
+    const double lane_cert_ms = class_ms(cert, [&] { lane_pass(lane, cert); });
+    const double screen_cert_ms =
+        class_ms(cert, [&] { screen_pass(lane, cert); });
+    const double trail_ms =
+        class_ms(cert, [&] { trail_pass(c.name, c.p, cert); });
+    const double lane_undecided_ms =
+        class_ms(undecided, [&] { lane_pass(lane, undecided); });
+    const double screen_undecided_ms =
+        class_ms(undecided, [&] { screen_pass(lane, undecided); });
+    // What the certificate stage adds to the screen: its search on the
+    // candidates it certifies and on those it cannot decide.
+    const double cert_stage_ms = (lane_cert_ms - screen_cert_ms) +
+                                 (lane_undecided_ms - screen_undecided_ms);
+
+    bench::row(c.name, "full agreement; certificate stage priced alone",
+               cat(res.candidates_examined, " candidates: ",
+                   ill.size(), " ill-formed (lane ", lane_ill_ms,
+                   " ms vs lint ", lint_ms, " ms), ", cert.size(),
+                   " certificates (trail work replaced ", trail_ms,
+                   " ms), ", undecided.size(),
+                   " undecided; certificate stage ", cert_stage_ms,
+                   " ms; synthesis ", synth_ms, " ms"));
     bench::Json run;
     run.put("protocol", c.name);
-    run.put("candidates", r.candidates);
-    run.put("solutions", r.solutions);
-    run.put("static_rejects", rejects);
-    run.put("static_ill_formed", r.static_ill);
-    run.put("static_trail_certificates", r.static_trail);
-    run.put("static_reject_rate", rate);
-    run.put("lane_on_ms", r.on_ms);
-    run.put("lane_off_ms", r.off_ms);
-    run.put("candidates_per_sec_on", cps_on);
-    run.put("candidates_per_sec_off", cps_off);
-    run.put("bit_identical", true);  // run_case threw otherwise
+    run.put("candidates", res.candidates_examined);
+    run.put("solutions", res.solutions.size());
+    run.put("ill_formed", ill.size());
+    run.put("certificates", cert.size());
+    run.put("undecided", undecided.size());
+    run.put("lane_ill_formed_ms", lane_ill_ms);
+    run.put("lint_screen_ms", lint_ms);
+    run.put("lane_certificate_ms", lane_cert_ms);
+    run.put("screen_certificate_ms", screen_cert_ms);
+    run.put("trail_pipeline_ms", trail_ms);
+    run.put("lane_undecided_ms", lane_undecided_ms);
+    run.put("screen_undecided_ms", screen_undecided_ms);
+    run.put("certificate_stage_ms", cert_stage_ms);
+    run.put("certificate_stage_net_ms", trail_ms - cert_stage_ms);
+    run.put("synthesis_ms", synth_ms);
+    run.put("agrees", true);  // the passes threw otherwise
     runs.push_back(std::move(run));
-  }
-
-  // Thread invariance at 4 lanes on the heaviest skeleton.
-  const LaneRun mt = run_case("matching@4", protocols::matching_skeleton(), 4);
-  std::vector<bench::Json> invariance;
-  {
-    bench::Json j;
-    j.put("protocol", "matching");
-    j.put("threads", 4);
-    j.put("candidates", mt.candidates);
-    j.put("static_rejects", mt.static_ill + mt.static_trail);
-    j.put("bit_identical", true);
-    invariance.push_back(std::move(j));
   }
 
   bench::Json doc;
   doc.put("experiment", "absint_static_lane");
+  doc.put("hardware_threads", resolve_threads(0));
+  doc.put("config",
+          "synthesize_convergence with default options on 1 lane; each time "
+          "is the best of 5 passes over the candidates of one class; "
+          "screen_* times run refute_ill_formed_only, trail work runs "
+          "without the memo");
   doc.put("runs", runs);
-  doc.put("jobs_invariance", invariance);
   bench::write_bench_json("BENCH_absint.json", doc);
   bench::footer();
 }
 
-void BM_MatchingLaneOn(benchmark::State& state) {
-  const Protocol p = protocols::matching_skeleton();
-  for (auto _ : state)
-    benchmark::DoNotOptimize(synthesize_convergence(p, options(true, 1)));
+/// The matching skeleton's examined candidates, for the timing loops.
+Additions matching_candidates() {
+  Additions out;
+  for (const auto& rep :
+       synthesize_convergence(protocols::matching_skeleton()).reports)
+    out.push_back(rep.added);
+  return out;
 }
-BENCHMARK(BM_MatchingLaneOn)->Unit(benchmark::kMillisecond);
 
-void BM_MatchingLaneOff(benchmark::State& state) {
+void BM_MatchingLaneScreen(benchmark::State& state) {
   const Protocol p = protocols::matching_skeleton();
-  for (auto _ : state)
-    benchmark::DoNotOptimize(synthesize_convergence(p, options(false, 1)));
+  const Additions cands = matching_candidates();
+  const StaticRejectionLane lane(p);
+  for (auto _ : state) lane_pass(lane, cands);
 }
-BENCHMARK(BM_MatchingLaneOff)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_MatchingLaneScreen)->Unit(benchmark::kMillisecond);
+
+void BM_MatchingLintScreen(benchmark::State& state) {
+  const Protocol p = protocols::matching_skeleton();
+  const Additions cands = matching_candidates();
+  for (auto _ : state)
+    for (std::size_t i = 0; i < cands.size(); ++i)
+      benchmark::DoNotOptimize(
+          lint_candidate_errors(p.with_added(cat(p.name(), "_ss", i), cands[i])));
+}
+BENCHMARK(BM_MatchingLintScreen)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

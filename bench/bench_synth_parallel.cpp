@@ -10,12 +10,20 @@
 //   threads4_warm  num_threads=4, warm shared memo  (lanes + verdict reuse)
 // The warm configs time a run whose VerdictMemo was filled by one prior run
 // with identical options — the steady state of ringstab-batch --synth, where
-// one memo is shared across a whole directory of inputs.
+// one memo is shared across a whole directory of inputs. Every config turns
+// trail classification, rejected-candidate reports and the closure check off
+// (base_options); each JSON row repeats those settings with its lanes, memo
+// state and candidate count, and the document carries the build's
+// `git describe` and the host's hardware lane count.
+//
+// Artifact: BENCH_synth_parallel.json (committed at the repo root,
+// schema-checked by the perf_validate_bench ctest entry).
 #include <chrono>
 #include <functional>
 #include <memory>
 
 #include "bench_util.hpp"
+#include "parallel/thread_pool.hpp"
 #include "protocols/coloring.hpp"
 #include "protocols/matching.hpp"
 #include "protocols/sum_not_two.hpp"
@@ -44,6 +52,7 @@ SynthesisOptions base_options() {
 
 struct ConfigRun {
   std::string config;
+  SynthesisOptions opts;  // as timed; the JSON row labels come from here
   double ms = 0;
   std::size_t candidates = 0;
   std::size_t solutions = 0;
@@ -63,6 +72,8 @@ ConfigRun run_config(const Protocol& input, const std::string& config,
   run.config = config;
   SynthesisResult res;
   run.ms = ms_of([&] { res = synthesize_convergence(input, opts); });
+  run.opts = opts;
+  run.opts.memo.reset();  // memoize alone tells warm from off
   run.candidates = res.candidates_examined;
   run.solutions = res.solutions.size();
   return run;
@@ -105,6 +116,14 @@ void report() {
                 << "x vs serial_cold\n";
       configs.push_back(bench::Json()
                             .put("config", run.config)
+                            .put("threads", run.opts.num_threads)
+                            .put("memo", run.opts.memoize ? "warm" : "off")
+                            .put("classify_rejected_trails",
+                                 run.opts.classify_rejected_trails)
+                            .put("keep_rejected_reports",
+                                 run.opts.keep_rejected_reports)
+                            .put("require_closed_invariant",
+                                 run.opts.require_closed_invariant)
                             .put("ms", run.ms)
                             .put("candidates", run.candidates)
                             .put("solutions", run.solutions)
@@ -131,6 +150,7 @@ void report() {
       "BENCH_synth_parallel.json",
       bench::Json()
           .put("experiment", "synth_parallel")
+          .put("hardware_threads", resolve_threads(0))
           .put("best_threads4_warm_speedup", best_speedup)
           .put("best_protocol", best_protocol)
           .put("meets_2x_criterion", best_speedup >= 2.0)

@@ -84,13 +84,14 @@ struct TrailReplay {
 
 TrailReplay replay_trail(const Protocol& p, const ContiguousTrail& trail);
 
-/// The synthesizers' static rejection lane: facts computed once from the
+/// The synthesizers' one candidate screen: facts computed once from the
 /// skeleton let a candidate be refuted before Protocol construction, memo
 /// traffic, trail searches or fixed-K sweeps. The lane only ever *rejects*,
 /// and only with a certificate the concrete pipeline would also reject on:
 ///   kIllFormed — the added t-arcs close a local transition cycle (exactly
-///     lint_candidate_errors' RS002 error), or the skeleton itself carries
-///     an error-level diagnostic every revision inherits;
+///     lint_candidate_errors' RS002 error on the revision, for every
+///     candidate enumerate_candidate_sets yields), or the skeleton itself
+///     carries an error-level diagnostic every revision inherits;
 ///   kTrail — a qualifying |E| = 1 contiguous trail was constructed
 ///     outright (distinct arcs, a ¬LC_r visit, a repetitive write
 ///     projection), so the trail search must return kTrailFound.

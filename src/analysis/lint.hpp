@@ -105,10 +105,12 @@ LintResult lint_ring_file(const std::string& path, const LintOptions& opts = {})
 LintResult lint_ring_text(const std::string& text, const std::string& path,
                           const LintOptions& opts = {});
 
-/// Error-severity-only fast subset used by the synthesizers' pre-filter:
-/// a candidate revision with a t-arc cycle (RS002: the trail pipeline is
-/// undefined and would throw mid-portfolio) or an empty LC_r (RS020) can
-/// never be a valid solution. Cheap — no RCG/spectrum/global work.
+/// Error-severity-only fast subset: a candidate revision with a t-arc cycle
+/// (RS002: the trail pipeline is undefined and would throw mid-portfolio)
+/// or an empty LC_r (RS020) can never be a valid solution. Cheap — no
+/// RCG/spectrum/global work. The synthesizers get the same verdict from
+/// StaticRejectionLane (analysis/absint.hpp) without building the revision;
+/// tests hold the two equal on every enumerated candidate.
 std::vector<Diagnostic> lint_candidate_errors(const Protocol& p);
 
 }  // namespace ringstab

@@ -10,6 +10,7 @@
 #include "local/rcg.hpp"
 #include "local/self_disabling.hpp"
 #include "obs/obs.hpp"
+#include "synthesis/portfolio.hpp"
 
 namespace ringstab {
 namespace {
@@ -136,13 +137,6 @@ ArraySynthesisResult synthesize_array_convergence(
   ArraySynthesisResult res;
   obs::Counter& generated = obs::counter("synth.candidates_generated");
   obs::Counter& found = obs::counter("synth.solutions_found");
-  std::shared_ptr<VerdictMemo> local_memo;
-  const VerdictMemo* memo = nullptr;
-  if (options.memoize) {
-    local_memo =
-        options.memo ? options.memo : std::make_shared<VerdictMemo>();
-    memo = local_memo.get();
-  }
   const Digraph rcg = build_rcg(p.space());
 
   // Resolve sets: minimal ¬LC hitting sets of all bad walks.
@@ -231,22 +225,8 @@ ArraySynthesisResult synthesize_array_convergence(
           }
           Protocol pss =
               p.with_added(cat(p.name(), "_ass", base + j + 1), added);
-          bool free_all_n;
-          if (memo != nullptr) {
-            const std::string key = memo_key_protocol('A', pss);
-            if (const auto hit = memo->get(key)) {
-              free_all_n = hit->flag;
-            } else {
-              free_all_n = analyze_array_deadlocks(pss, 8).deadlock_free_all_n;
-              CachedVerdict v;
-              v.flag = free_all_n;
-              memo->put(key, v);
-            }
-          } else {
-            // Defensive re-check of the local theorem on the revision.
-            free_all_n = analyze_array_deadlocks(pss, 8).deadlock_free_all_n;
-          }
-          RINGSTAB_ASSERT(free_all_n,
+          // Defensive re-check of the local theorem on the revision.
+          RINGSTAB_ASSERT(analyze_array_deadlocks(pss, 8).deadlock_free_all_n,
                           "array Resolve set failed to cut all bad walks");
           return ArrayEval{std::move(pss), std::move(added)};
         },

@@ -9,13 +9,11 @@
 // synthesis with no livelock check needed at all.
 #pragma once
 
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "core/protocol.hpp"
-#include "synthesis/portfolio.hpp"
 
 namespace ringstab {
 
@@ -30,13 +28,6 @@ struct ArraySynthesisOptions {
   /// candidates. 1 = serial; 0 = all hardware lanes. Results are
   /// bit-identical at any thread count.
   std::size_t num_threads = 1;
-
-  /// Cache per-candidate deadlock verdicts in a VerdictMemo (pure caching;
-  /// results identical with it off).
-  bool memoize = true;
-
-  /// Share a memo table across calls; null = private per-call table.
-  std::shared_ptr<VerdictMemo> memo;
 };
 
 struct ArraySynthesisSolution {

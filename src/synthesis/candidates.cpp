@@ -32,8 +32,8 @@ std::vector<LocalTransition> candidate_transitions(const Protocol& p,
     // rewritten away by the self-disabling transformation anyway — skip the
     // redundant candidate. Targets inside the Resolve set stay in the
     // stream: combinations that chain resolved states into a t-arc cycle
-    // (an Assumption 1 violation) are the lint pre-filter's job to discard
-    // (RS002, SynthesisOptions::reject_ill_formed), not the enumerator's.
+    // (an Assumption 1 violation) are the static lane's job to discard
+    // (RS002, StaticRejectionLane), not the enumerator's.
     if (p.is_enabled(target)) continue;
     out.push_back({s, target});
   }

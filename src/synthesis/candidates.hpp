@@ -18,8 +18,9 @@ std::vector<std::vector<LocalStateId>> enumerate_resolve_sets(
 /// Step 3: candidate local transitions resolving one deadlock s ∈ Resolve:
 /// every (s, s') whose target the input protocol does not already fire
 /// from. Combinations that violate Assumption 1 (a t-arc cycle through the
-/// resolved states) stay in the stream — the lint pre-filter discards them
-/// with an RS002 diagnostic (SynthesisOptions::reject_ill_formed).
+/// resolved states) stay in the stream — the synthesizers' static lane
+/// (StaticRejectionLane, analysis/absint.hpp) rejects them with an RS002
+/// diagnostic.
 std::vector<LocalTransition> candidate_transitions(const Protocol& p,
                                                    LocalStateId s);
 

@@ -3,7 +3,6 @@
 #include <optional>
 
 #include "analysis/absint.hpp"
-#include "analysis/lint.hpp"
 #include "core/fmt.hpp"
 #include "core/printer.hpp"
 #include "local/deadlock.hpp"
@@ -15,8 +14,7 @@ namespace {
 /// One candidate's fixed-K verdict, parked in its portfolio slot.
 struct GlobalEval {
   bool prefiltered = false;  // discarded by the Theorem 4.2 prefilter
-  bool ill_formed = false;   // discarded by the lint pre-filter
-  bool static_reject = false;  // refuted by the static lane (no revision)
+  bool ill_formed = false;   // refuted by the static lane (no revision)
   bool ok = false;           // strongly stabilizing for every configured K
   GlobalStateId states = 0;  // global states the K sweep cost
   std::optional<Protocol> pss;  // kept only when ok
@@ -24,30 +22,20 @@ struct GlobalEval {
 
 GlobalEval evaluate_candidate(const Protocol& p,
                               const GlobalSynthesisOptions& options,
-                              const StaticRejectionLane* lane,
+                              const StaticRejectionLane& lane,
                               const VerdictMemo* memo, std::size_t ordinal,
                               const std::vector<LocalTransition>& added) {
-  // Static ill-formedness screen: equivalent to the lint pre-filter below
-  // but computed from skeleton facts, before the revision is constructed.
-  if (lane != nullptr) {
-    if (auto rej = lane->refute_ill_formed_only(added)) {
-      GlobalEval eval;
-      eval.ill_formed = true;
-      eval.static_reject = true;
-      return eval;
-    }
+  GlobalEval eval;
+  // The one candidate screen: an added-arc cycle is refuted from skeleton
+  // facts before the revision is constructed. No trail certificates here —
+  // this synthesizer's rejections are fixed-K facts a trail does not imply.
+  if (lane.refute_ill_formed_only(added)) {
+    eval.ill_formed = true;
+    return eval;
   }
 
   Protocol pss =
       p.with_added(cat(p.name(), "_gss", ordinal), added);
-  GlobalEval eval;
-
-  // Lint pre-filter, ahead of the memo lookup so cached fixed-K verdicts
-  // stay independent of the flag.
-  if (options.reject_ill_formed && !lint_candidate_errors(pss).empty()) {
-    eval.ill_formed = true;
-    return eval;
-  }
 
   std::string key;
   if (memo != nullptr) {
@@ -106,17 +94,9 @@ GlobalSynthesisResult synthesize_convergence_global(
   GlobalSynthesisResult res;
   const auto resolve_sets = enumerate_resolve_sets(p, options.max_resolve_sets);
 
-  std::optional<StaticRejectionLane> lane;
-  if (options.static_reject_lane && options.reject_ill_formed)
-    lane.emplace(p);
+  const StaticRejectionLane lane(p);
 
-  std::shared_ptr<VerdictMemo> local_memo;
-  const VerdictMemo* memo = nullptr;
-  if (options.memoize) {
-    local_memo =
-        options.memo ? options.memo : std::make_shared<VerdictMemo>();
-    memo = local_memo.get();
-  }
+  const VerdictMemo* memo = options.memo.get();
 
   for (const auto& resolve : resolve_sets) {
     if (res.solutions.size() >= options.max_solutions) break;
@@ -127,8 +107,8 @@ GlobalSynthesisResult synthesize_convergence_global(
     run_portfolio<GlobalEval>(
         batch.size(), options.num_threads, quota,
         [&](std::size_t i) {
-          return evaluate_candidate(p, options, lane ? &*lane : nullptr, memo,
-                                    base + i + 1, batch[i]);
+          return evaluate_candidate(p, options, lane, memo, base + i + 1,
+                                    batch[i]);
         },
         [](const GlobalEval& e) { return e.ok; },
         [&](std::size_t i, GlobalEval eval) {
@@ -142,7 +122,7 @@ GlobalSynthesisResult synthesize_convergence_global(
             ++res.ill_formed_out;
             pruned.add(1);
             lint_rejected.add(1);
-            if (eval.static_reject) static_rejects.add(1);
+            static_rejects.add(1);
           } else if (eval.prefiltered) {
             ++res.prefiltered_out;
             pruned.add(1);

@@ -34,26 +34,11 @@ struct GlobalSynthesisOptions {
   std::size_t num_threads = 1;
 
   /// Cache each candidate's full fixed-K verdict (+ the states it cost) in
-  /// a VerdictMemo; `states_explored` then charges cached candidates what
-  /// their sweep originally cost, keeping totals thread- and memo-invariant.
-  bool memoize = true;
-
-  /// Share a memo table across calls; null = private per-call table.
+  /// this table; null = no memo. `states_explored` charges cached
+  /// candidates what their sweep originally cost, keeping totals thread-
+  /// and memo-invariant. Within one call every candidate is distinct, so
+  /// only a table shared across calls can hit.
   std::shared_ptr<VerdictMemo> memo;
-
-  /// Discard candidates carrying error-level lint diagnostics before any
-  /// K sweep (see SynthesisOptions::reject_ill_formed). Runs before the
-  /// memo, so cached verdicts are unaffected by the flag. Sound: such
-  /// candidates fail every sweep anyway. Counter: lint.candidates_rejected.
-  bool reject_ill_formed = true;
-
-  /// Static rejection lane (analysis/absint.hpp), ill-formedness screen
-  /// only: an added-arc cycle is refuted from skeleton facts without
-  /// constructing the revision Protocol. Trail certificates are NOT used
-  /// here — this synthesizer's rejections are fixed-K facts that a
-  /// parameterized trail does not imply. Active only together with
-  /// reject_ill_formed. Counter: synth.static_rejects.
-  bool static_reject_lane = true;
 };
 
 struct GlobalSynthesisSolution {
@@ -68,7 +53,8 @@ struct GlobalSynthesisResult {
   std::size_t candidates_examined = 0;
   /// Candidates discarded by the Theorem 4.2 prefilter (hybrid mode only).
   std::size_t prefiltered_out = 0;
-  /// Candidates discarded by the lint pre-filter (reject_ill_formed).
+  /// Candidates refuted as ill-formed by the static lane (a t-arc cycle or
+  /// an inherited skeleton error, in lint's RS002/RS020 sense).
   std::size_t ill_formed_out = 0;
   /// Global states visited across every model-checking run — the cost the
   /// local method avoids entirely.

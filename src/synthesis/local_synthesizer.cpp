@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "analysis/absint.hpp"
-#include "analysis/lint.hpp"
 #include "core/fmt.hpp"
 #include "core/printer.hpp"
 #include "global/checker.hpp"
@@ -25,47 +24,30 @@ struct LocalEval {
 /// Methodology steps 4–5 for one candidate set: a pure function of
 /// (p, options, ordinal, added), safe to run on any pool lane.
 LocalEval evaluate_candidate(const Protocol& p, const SynthesisOptions& options,
-                             const StaticRejectionLane* lane,
+                             const StaticRejectionLane& lane,
                              const VerdictMemo* memo, std::size_t ordinal,
                              const std::vector<LocalTransition>& added) {
-  // Static rejection lane: refute from skeleton facts alone, before the
-  // revision Protocol is even constructed. The lane only rejects with a
-  // certificate the concrete pipeline below would also reject on, so
-  // statuses and solutions are bit-identical with it on or off.
-  if (lane != nullptr) {
-    if (auto rej = lane->refute(added)) {
-      LocalEval eval;
-      CandidateReport& report = eval.report;
-      report.added = added;
-      report.static_reject = true;
-      if (rej->kind == StaticRejectionLane::Rejection::Kind::kIllFormed) {
-        report.status = CandidateReport::Status::kRejectedIllFormed;
-        report.ill_formed = std::move(rej->diagnostics);
-      } else {
-        report.status = CandidateReport::Status::kRejectedTrail;
-        report.trail = std::move(rej->trail);
-      }
-      return eval;
-    }
-  }
-
-  Protocol pss = p.with_added(cat(p.name(), "_ss", ordinal), added);
   LocalEval eval;
   CandidateReport& report = eval.report;
   report.added = added;
 
-  // Lint pre-filter: a candidate with error-level diagnostics (t-arc cycle,
-  // empty LC_r) can never be certified — and a t-arc cycle would make the
-  // trail pipeline below throw. Runs before any memo traffic so memoized
-  // results are unaffected by the flag.
-  if (options.reject_ill_formed) {
-    auto errs = lint_candidate_errors(pss);
-    if (!errs.empty()) {
+  // The static rejection lane is the one candidate screen: it refutes
+  // ill-formed candidates (a t-arc cycle — Assumption 1 fails and the trail
+  // pipeline below is undefined) and certified |E| = 1 trails from
+  // skeleton facts alone, before the revision Protocol is even built.
+  if (auto rej = lane.refute(added)) {
+    report.static_reject = true;
+    if (rej->kind == StaticRejectionLane::Rejection::Kind::kIllFormed) {
       report.status = CandidateReport::Status::kRejectedIllFormed;
-      report.ill_formed = std::move(errs);
-      return eval;
+      report.ill_formed = std::move(rej->diagnostics);
+    } else {
+      report.status = CandidateReport::Status::kRejectedTrail;
+      report.trail = std::move(rej->trail);
     }
+    return eval;
   }
+
+  Protocol pss = p.with_added(cat(p.name(), "_ss", ordinal), added);
 
   // Step 4 fast path (NPL): if the write projection of the *entire* δ_r of
   // p_ss has no value cycle, no subset can form a pseudo-livelock, so
@@ -89,7 +71,7 @@ LocalEval evaluate_candidate(const Protocol& p, const SynthesisOptions& options,
 
   if (npl_livelock_free) {
     report.status = CandidateReport::Status::kAcceptedNpl;
-  } else try {
+  } else {
     // Step 5 (PL): search for a qualifying contiguous trail in the LTG of
     // the self-disabled p_ss. The search reads nothing but that
     // self-disabled image, so distinct additions collapsing to one
@@ -132,45 +114,12 @@ LocalEval evaluate_candidate(const Protocol& p, const SynthesisOptions& options,
 
     if (report.status == CandidateReport::Status::kRejectedTrail &&
         options.classify_rejected_trails) {
-      // Classification instantiates the full revision p_ss(K), so its memo
-      // entry is keyed on the revision itself, not the self-disabled image.
-      bool classified = false;
-      std::string rkey;
-      if (memo != nullptr) {
-        rkey = memo_key_protocol('R', pss);
-        memo_append_query(rkey, options.trail_query);
-        memo_append_u64(rkey, options.classification_state_budget);
-        if (const auto hit = memo->get(rkey)) {
-          if (hit->realization)
-            report.realization =
-                static_cast<TrailRealization>(*hit->realization);
-          classified = true;
-        }
-      }
-      if (!classified) {
-        try {
-          report.realization = realize_trail(pss, *report.trail).verdict;
-        } catch (const CapacityError&) {
-          // implied K too large for the classification budget
-        }
-        if (memo != nullptr) {
-          CachedVerdict v;
-          if (report.realization)
-            v.realization = static_cast<int>(*report.realization);
-          memo->put(rkey, v);
-        }
+      try {
+        report.realization = realize_trail(pss, *report.trail).verdict;
+      } catch (const CapacityError&) {
+        // implied K too large for RingInstance's state cap
       }
     }
-  } catch (const ModelError&) {
-    // Reachable only with the pre-filter off: the self-disabling
-    // transformation (and hence the trail pipeline) is undefined for
-    // Assumption-1-violating candidates. Late detection here keeps
-    // reports and solutions bit-identical with the filter on.
-    auto errs = lint_candidate_errors(pss);
-    if (errs.empty()) throw;
-    report.status = CandidateReport::Status::kRejectedIllFormed;
-    report.ill_formed = std::move(errs);
-    return eval;
   }
 
   if (report.accepted()) {
@@ -211,12 +160,7 @@ SynthesisResult synthesize_convergence(const Protocol& p,
 
   res.resolve_sets = enumerate_resolve_sets(p, options.max_resolve_sets);
 
-  // The lane mirrors the lint pre-filter's rejection semantics, so it is
-  // active only when that filter is (with the filter off, an empty-LC_r
-  // candidate legitimately flows through the NPL/PL pipeline).
-  std::optional<StaticRejectionLane> lane;
-  if (options.static_reject_lane && options.reject_ill_formed)
-    lane.emplace(p, options.trail_query);
+  const StaticRejectionLane lane(p, options.trail_query);
 
   std::shared_ptr<VerdictMemo> local_memo;
   const VerdictMemo* memo = nullptr;
@@ -235,8 +179,8 @@ SynthesisResult synthesize_convergence(const Protocol& p,
     run_portfolio<LocalEval>(
         batch.size(), options.num_threads, quota,
         [&](std::size_t i) {
-          return evaluate_candidate(p, options, lane ? &*lane : nullptr, memo,
-                                    base + i + 1, batch[i]);
+          return evaluate_candidate(p, options, lane, memo, base + i + 1,
+                                    batch[i]);
         },
         [](const LocalEval& e) { return e.report.accepted(); },
         [&](std::size_t, LocalEval eval) {

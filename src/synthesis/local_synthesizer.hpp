@@ -27,9 +27,9 @@ struct SynthesisOptions {
   /// Classify each rejecting trail by attempting the paper's reconstruction
   /// at the implied ring size (diagnostic only: a spurious trail still
   /// rejects the candidate, as Theorem 5.14 is merely sufficient). Costs one
-  /// small exhaustive check per rejection; capped by this state budget.
+  /// small exhaustive check per rejection, skipped when the implied ring
+  /// exceeds RingInstance's default state cap.
   bool classify_rejected_trails = true;
-  GlobalStateId classification_state_budget = 1u << 20;
 
   /// Portfolio execution (DESIGN.md §10): pool lanes used to evaluate
   /// candidate sets. 1 = serial; 0 = all hardware lanes. Results — solution
@@ -45,27 +45,6 @@ struct SynthesisOptions {
   /// Share a memo table across calls (batch sweeps, benchmarks). Null means
   /// a private table per synthesize_convergence call.
   std::shared_ptr<VerdictMemo> memo;
-
-  /// Discard candidates carrying error-level lint diagnostics
-  /// (lint_candidate_errors: a t-arc cycle or an empty LC_r) before any
-  /// NPL/trail work. Sound — such candidates can never be certified. With
-  /// the filter off the same candidates are detected late, when the trail
-  /// pipeline trips over the Assumption 1 violation, so reports and
-  /// solutions are bit-identical either way; the filter just skips the
-  /// wasted work. Counter: lint.candidates_rejected.
-  bool reject_ill_formed = true;
-
-  /// Static rejection lane (analysis/absint.hpp): facts computed once from
-  /// the skeleton refute candidates before Protocol construction, memo
-  /// traffic or trail searches — an added-arc cycle reproduces the lint
-  /// pre-filter's RS002 rejection, and a constructed |E| = 1 trail
-  /// certificate reproduces a kRejectedTrail verdict the concrete search
-  /// must reach. Verdict statuses and solutions are bit-identical with the
-  /// lane on or off (statically rejected candidates skip the trail
-  /// classification sweep, so only their `realization` field is omitted).
-  /// Active only together with reject_ill_formed, whose rejection semantics
-  /// the lane's screen mirrors. Counter: synth.static_rejects.
-  bool static_reject_lane = true;
 };
 
 /// One examined candidate set and its fate in methodology steps 4–5.
@@ -76,23 +55,24 @@ struct CandidateReport {
                          // contiguous trail → livelock-free (Thm 5.14)
     kRejectedTrail,      // a qualifying trail exists → cannot certify
     kInconclusive,       // trail search budget exhausted
-    kRejectedIllFormed,  // lint pre-filter: error-level diagnostics
+    kRejectedIllFormed,  // static lane: a t-arc cycle (Assumption 1
+                         // fails) or an empty LC_r
   };
   Status status = Status::kInconclusive;
   std::vector<LocalTransition> added;
   std::optional<ContiguousTrail> trail;  // witness for kRejectedTrail
 
-  /// Error diagnostics for kRejectedIllFormed (see
-  /// SynthesisOptions::reject_ill_formed).
+  /// Error diagnostics for kRejectedIllFormed, in RS002/RS020 form.
   std::vector<Diagnostic> ill_formed;
 
   /// Reconstruction outcome at the trail's implied K (set when
-  /// options.classify_rejected_trails and the instance fits the budget;
-  /// never set for static rejects — they skip the classification sweep).
+  /// options.classify_rejected_trails and the instance fits RingInstance's
+  /// state cap; never set for static rejects — they skip classification).
   std::optional<TrailRealization> realization;
 
-  /// True iff the static rejection lane refuted the candidate without any
-  /// concrete work (see SynthesisOptions::static_reject_lane).
+  /// True iff the static rejection lane (analysis/absint.hpp) refuted the
+  /// candidate before the revision Protocol was built: every
+  /// kRejectedIllFormed report, plus trail-certificate kRejectedTrail ones.
   bool static_reject = false;
 
   bool accepted() const {

@@ -25,10 +25,12 @@
 // Memoization. Candidates overlap: revisions sharing a write-projection
 // signature share the NPL verdict, revisions self-disabling to the same
 // transition set share the entire trail-search outcome, and repeated
-// synthesis calls over a protocol corpus repeat whole verdicts. VerdictMemo
-// is a lock-sharded exact-key table for these verdicts; since every cached
-// verdict is a pure function of its key, memo hits cannot change results —
-// only skip recomputation.
+// synthesis calls over a protocol corpus repeat whole fixed-K verdicts.
+// VerdictMemo is a lock-sharded exact-key table for exactly these three
+// kinds ('N', 'T', 'G'); since every cached verdict is a pure function of
+// its key, memo hits cannot change results — only skip recomputation.
+// Verdicts no two candidates share (trail classification, the array
+// synthesizer's defensive re-check) are recomputed, not cached.
 #pragma once
 
 #include <atomic>
@@ -48,11 +50,11 @@ namespace ringstab {
 /// One cached verdict. Which fields are meaningful depends on the key kind
 /// (see the key builders below); unused fields stay defaulted.
 struct CachedVerdict {
-  bool flag = false;           // NPL: has a pseudo-livelock; global/array: ok
-  std::uint8_t status = 0;     // trail: CandidateReport::Status as int
-  std::uint64_t amount = 0;    // global: states explored by the K sweep
-  std::optional<ContiguousTrail> trail;     // trail: rejection witness
-  std::optional<int> realization;           // trail: TrailRealization as int
+  bool flag = false;        // NPL: has a pseudo-livelock; global: ok
+  std::uint8_t status = 0;  // trail: CandidateReport::Status as int;
+                            // global: 0 iff prefiltered by Theorem 4.2
+  std::uint64_t amount = 0;  // global: states explored by the K sweep
+  std::optional<ContiguousTrail> trail;  // trail: rejection witness
 };
 
 /// Lock-sharded memo table mapping explicit byte-string keys to verdicts.
@@ -158,8 +160,8 @@ std::string memo_key_npl(const Protocol& p);
 /// identity used when a verdict depends on the protocol's entire structure.
 /// Trail-search entries ('T') build it from the self-disabled image of the
 /// candidate — distinct additions that collapse to one self-disabled LTG
-/// share the trail verdict; classification ('R'), global ('G'), and array
-/// ('A') entries build it from the revision itself.
+/// share the trail verdict; fixed-K sweep entries ('G') build it from the
+/// revision itself.
 std::string memo_key_protocol(char kind, const Protocol& p);
 
 /// Append every TrailQuery field to `key` (trail verdicts depend on the

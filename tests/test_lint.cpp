@@ -1,9 +1,11 @@
 // The protocol lint engine: one golden fixture per RS code, suppression
 // directives, JSON round-tripping, located parser errors, and the
-// synthesizer's reject_ill_formed pre-filter (bit-identity + counters).
+// synthesizers' ill-formedness screen (tallies, counters, thread
+// invariance, and what the fixed-K sweep says about the rejected).
 #include <filesystem>
 #include <gtest/gtest.h>
 
+#include "analysis/absint.hpp"
 #include "analysis/lint.hpp"
 #include "core/parser.hpp"
 #include "obs/obs.hpp"
@@ -282,11 +284,10 @@ TEST(Lint, CandidateErrorsDetectTArcCycleAndEmptyLc) {
 }
 
 // ---------------------------------------------------------------------------
-// The reject_ill_formed pre-filter.
+// The synthesizers' ill-formedness screen (the static lane's RS002 check).
 
-SynthesisOptions fast_options(bool reject, std::size_t threads) {
+SynthesisOptions fast_options(std::size_t threads) {
   SynthesisOptions o;
-  o.reject_ill_formed = reject;
   o.num_threads = threads;
   o.require_closed_invariant = false;
   o.classify_rejected_trails = false;
@@ -316,31 +317,22 @@ std::size_t count_ill_formed(const SynthesisResult& r) {
   return n;
 }
 
-TEST(LintPrefilter, ZooResultsBitIdenticalWithFilterOnAndOff) {
-  // Early (pre-filter) vs late (trail-pipeline ModelError) detection must
-  // agree exactly — candidate for candidate — at every thread count.
+TEST(LintPrefilter, ZooResultsBitIdenticalAcrossThreadCounts) {
   for (const char* name :
        {"agreement.ring", "sum_not_two.ring", "three_coloring.ring",
         "token_pair.ring", "forbidden_pairs.ring", "reset_to_zero.ring"}) {
     SCOPED_TRACE(name);
     const Protocol p =
         parse_protocol_file(std::string(RINGSTAB_RINGS) + "/" + name);
-    const SynthesisResult on1 = synthesize_convergence(p, fast_options(true, 1));
-    const SynthesisResult off1 =
-        synthesize_convergence(p, fast_options(false, 1));
-    const SynthesisResult on4 = synthesize_convergence(p, fast_options(true, 4));
-    const SynthesisResult off4 =
-        synthesize_convergence(p, fast_options(false, 4));
-    expect_identical(on1, off1);
-    expect_identical(on1, on4);
-    expect_identical(on1, off4);
+    expect_identical(synthesize_convergence(p, fast_options(1)),
+                     synthesize_convergence(p, fast_options(4)));
   }
 }
 
 TEST(LintPrefilter, ResetToZeroRejectsIllFormedCandidates) {
   const Protocol p = parse_protocol_file(std::string(RINGSTAB_RINGS) +
                                          "/reset_to_zero.ring");
-  const SynthesisResult res = synthesize_convergence(p, fast_options(true, 1));
+  const SynthesisResult res = synthesize_convergence(p, fast_options(1));
   EXPECT_TRUE(res.success);
   EXPECT_EQ(res.candidates_examined, 64u);
   EXPECT_EQ(count_ill_formed(res), 28u);
@@ -360,7 +352,7 @@ TEST(LintPrefilter, RejectionCounterIsThreadInvariant) {
   obs::g_enabled.store(true);
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     obs::Registry::global().reset_counters();
-    (void)synthesize_convergence(p, fast_options(true, threads));
+    (void)synthesize_convergence(p, fast_options(threads));
     EXPECT_EQ(obs::counter("lint.candidates_rejected").total(), 28u)
         << "threads=" << threads;
   }
@@ -377,24 +369,29 @@ TEST(LintPrefilter, DiagEmissionCounterFires) {
   obs::Registry::global().reset_counters();
 }
 
+// The global synthesizer skips the fixed-K sweep for the 28 candidates the
+// screen rejects; each of them would have failed that sweep at every K.
 TEST(LintPrefilter, GlobalSynthesizerRejectsIllFormedBeforeSweep) {
   const Protocol p = parse_protocol_file(std::string(RINGSTAB_RINGS) +
                                          "/reset_to_zero.ring");
-  GlobalSynthesisOptions on;
-  on.min_ring = 2;
-  on.max_ring = 4;
-  const GlobalSynthesisResult with = synthesize_convergence_global(p, on);
-  EXPECT_EQ(with.ill_formed_out, 28u);
+  GlobalSynthesisOptions options;
+  options.min_ring = 2;
+  options.max_ring = 4;
+  EXPECT_EQ(synthesize_convergence_global(p, options).ill_formed_out, 28u);
 
-  GlobalSynthesisOptions off = on;
-  off.reject_ill_formed = false;
-  const GlobalSynthesisResult without = synthesize_convergence_global(p, off);
-  EXPECT_EQ(without.ill_formed_out, 0u);
-  // The exhaustive sweep rejects the same candidates the hard way: the
-  // solution lists agree exactly.
-  ASSERT_EQ(with.solutions.size(), without.solutions.size());
-  for (std::size_t i = 0; i < with.solutions.size(); ++i)
-    EXPECT_EQ(with.solutions[i].added, without.solutions[i].added);
+  const StaticRejectionLane lane(p);
+  std::size_t rejected = 0;
+  for (const auto& resolve : enumerate_resolve_sets(p)) {
+    for (const auto& added : enumerate_candidate_sets(p, resolve)) {
+      if (!lane.refute_ill_formed_only(added)) continue;
+      ++rejected;
+      const Protocol pss = p.with_added("reset_ill", added);
+      for (std::size_t k = options.min_ring; k <= options.max_ring; ++k)
+        EXPECT_FALSE(strongly_stabilizing(RingInstance(pss, k)))
+            << "candidate " << rejected << " K=" << k;
+    }
+  }
+  EXPECT_EQ(rejected, 28u);
 }
 
 }  // namespace

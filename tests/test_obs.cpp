@@ -97,9 +97,7 @@ TEST(ObsCounter, SnapshotOmitsZeroAndSortsByName) {
 
 /// The checker counters chosen to be thread-count-invariant must agree
 /// exactly between the serial engine and the parallel sweeps, on every
-/// bundled protocol. (checker.closure_states_scanned is deliberately
-/// excluded: the closure sweep early-exits on the first violation, so its
-/// scan count depends on chunk scheduling.)
+/// bundled protocol.
 TEST(ObsCounter, CheckerCountersMatchSerialUnderFourThreads) {
   const ObsGuard guard;
   const char* kInvariant[] = {

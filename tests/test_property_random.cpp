@@ -1,12 +1,17 @@
 // Property-based cross-validation on randomly generated protocols: the
-// local theorems vs. exhaustive global model checking, and the global
-// engines vs. each other and the serial reference checker.
+// local theorems vs. exhaustive global model checking, the global engines
+// vs. each other and the serial reference checker, and the synthesizers'
+// static candidate screen vs. the concrete lint and trail passes.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <random>
 #include <string>
 
+#include "analysis/absint.hpp"
+#include "analysis/lint.hpp"
 #include "core/fmt.hpp"
+#include "core/parser.hpp"
 #include "global/symmetry.hpp"
 #include "helpers.hpp"
 #include "local/closure.hpp"
@@ -14,6 +19,7 @@
 #include "local/livelock.hpp"
 #include "local/rcg.hpp"
 #include "protocols/herman.hpp"
+#include "synthesis/candidates.hpp"
 
 namespace ringstab {
 namespace {
@@ -193,6 +199,83 @@ TEST(DifferentialHarness, HermanClosureViolations) {
   const Protocol p = protocols::herman_ring();
   EXPECT_FALSE(testing::reference_check(RingInstance(p, 4)).verdict.closure_ok);
   expect_engines_agree(p);
+}
+
+// The synthesizers' only candidate screen is the static rejection lane.
+// On every candidate the enumerator yields, its ill-formedness verdict must
+// equal lint_candidate_errors on the revision (the pass it replaced), and
+// every trail certificate it issues must be a trail the concrete Theorem
+// 5.14 search also finds.
+struct LaneTally {
+  std::size_t candidates = 0;
+  std::size_t ill_formed = 0;
+  std::size_t certificates = 0;
+};
+
+LaneTally expect_lane_agrees(const Protocol& p) {
+  LaneTally tally;
+  const StaticRejectionLane lane(p);
+  for (const auto& resolve : enumerate_resolve_sets(p)) {
+    for (const auto& added : enumerate_candidate_sets(p, resolve)) {
+      const std::string where = cat(p.name(), " candidate ", tally.candidates);
+      ++tally.candidates;
+      const Protocol pss = p.with_added(p.name() + "_lane", added);
+      const bool ill_formed = lane.refute_ill_formed_only(added).has_value();
+      EXPECT_EQ(ill_formed, !lint_candidate_errors(pss).empty()) << where;
+      tally.ill_formed += ill_formed;
+
+      const auto rej = lane.refute(added);
+      const bool certificate =
+          rej && rej->kind == StaticRejectionLane::Rejection::Kind::kTrail;
+      EXPECT_EQ(rej && !certificate, ill_formed) << where;
+      if (!certificate) continue;
+      ++tally.certificates;
+      EXPECT_EQ(check_livelock_freedom(pss).verdict,
+                LivelockAnalysis::Verdict::kTrailFound)
+          << where;
+    }
+  }
+  return tally;
+}
+
+TEST(LaneAgreement, ProtocolZoo) {
+  LaneTally total;
+  for (const Protocol& p : testing::protocol_zoo()) {
+    const LaneTally t = expect_lane_agrees(p);
+    total.candidates += t.candidates;
+    total.ill_formed += t.ill_formed;
+    total.certificates += t.certificates;
+  }
+  // Both lane stages must actually fire on the zoo, or the checks above
+  // are vacuous.
+  EXPECT_GT(total.ill_formed, 0u);
+  EXPECT_GT(total.certificates, 0u);
+  EXPECT_GT(total.candidates, total.ill_formed + total.certificates);
+}
+
+TEST(LaneAgreement, ExampleRings) {
+  std::size_t rings = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(RINGSTAB_RINGS)) {
+    if (entry.path().extension() != ".ring") continue;
+    const ProtocolSource src = parse_protocol_source(
+        read_source_file(entry.path().string()), entry.path().string());
+    if (src.array_topology) continue;
+    SCOPED_TRACE(entry.path().filename().string());
+    (void)expect_lane_agrees(build_protocol(src));
+    ++rings;
+  }
+  EXPECT_GE(rings, 9u);
+}
+
+TEST_P(RandomProtocolTest, StaticLaneAgreesWithLintAndTrailSearch) {
+  std::mt19937_64 rng(GetParam() ^ 0x1a7e5c4ee7ull);
+  testing::RandomProtocolOptions bidirectional;
+  bidirectional.allow_bidirectional = true;
+  for (int i = 0; i < 16; ++i) {
+    (void)expect_lane_agrees(testing::random_protocol(rng));
+    (void)expect_lane_agrees(testing::random_protocol(rng, bidirectional));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomProtocolTest,

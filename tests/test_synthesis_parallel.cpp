@@ -153,9 +153,10 @@ TEST(PortfolioSynthesis, MemoizationDoesNotChangeResults) {
 }
 
 // Candidates sharing a signature reuse one verdict within a single call: the
-// matching skeleton has several Resolve sets whose candidate odometers revisit
-// the same projected write-pair sets (and, across resolve sets, identical
-// revised protocols), so a fresh per-call memo must record hits.
+// matching skeleton's candidate odometers revisit the same projected
+// write-pair sets (the 'N' key) and self-disable to the same transition sets
+// (the 'T' key), so a fresh per-call memo must record hits. Revisions
+// themselves never repeat within a call.
 TEST(PortfolioSynthesis, SharedSignaturesHitTheMemo) {
   const ObsGuard guard;
   const Protocol p = protocols::matching_skeleton();
