@@ -224,19 +224,26 @@ std::vector<bench::Json> global_engine_report() {
   return runs;
 }
 
+struct FullVerdictReport {
+  std::vector<bench::Json> runs;    // check_all across the thread sweep
+  std::vector<bench::Json> stages;  // one 1-thread verdict, stage by stage
+};
+
 // EXP-S1d — full-verdict throughput of the global engine (one classify
-// pass, one successor pass building the ¬I CSR, then FB/FWBW parallel SCC
-// and CSR-resident tiled fixpoints) across a thread sweep. Every run must
-// equal the 1-thread run on every field, witness included, and the
-// rotation quotient (check_symmetric) on the verdict fields both report;
-// a mismatch aborts the bench. The serial brute-force cross-check lives in
-// tests/ (testing::reference_check). RINGSTAB_BENCH_SMOKE=1 shrinks K for
-// the CI smoke job.
-std::vector<bench::Json> full_verdict_report(const RingInstance& ring,
-                                             bool smoke) {
+// pass, one successor pass building the ¬I CSR, then the serial acyclic
+// pass, and FB/FWBW parallel SCC with CSR-resident tiled fixpoints only
+// when the ¬I graph has a cycle) across a thread sweep, then one 1-thread
+// verdict split by stage through the public calls. Every run must equal
+// the 1-thread run on every field, witness included, the staged verdict
+// must equal it too, and the rotation quotient (check_symmetric) must
+// agree on the verdict fields both report; a mismatch aborts the bench.
+// The serial brute-force cross-check lives in tests/
+// (testing::reference_check). RINGSTAB_BENCH_SMOKE=1 shrinks K for the CI
+// smoke job.
+FullVerdictReport full_verdict_report(const RingInstance& ring, bool smoke) {
   bench::header(
       "EXP-S1d", "full-verdict engine thread sweep",
-      "a full verdict (closure, deadlock census, livelock SCCs, weak "
+      "a full verdict (closure, deadlock census, livelock, weak "
       "convergence, recovery bound) decodes the state space exactly twice; "
       "everything after the second pass runs on the cached ¬I CSR");
 
@@ -253,7 +260,7 @@ std::vector<bench::Json> full_verdict_report(const RingInstance& ring,
            a.max_recovery_steps == b.max_recovery_steps;
   };
 
-  std::vector<bench::Json> runs;
+  FullVerdictReport out;
   GlobalCheckResult base;
   double base_sps = 0;
   for (const std::size_t t : {1, 2, 4, 8}) {
@@ -276,12 +283,51 @@ std::vector<bench::Json> full_verdict_report(const RingInstance& ring,
               << " thread(s): " << ms << " ms, "
               << static_cast<std::uint64_t>(sps) << " states/sec, "
               << sps / base_sps << "x vs 1 thread\n";
-    runs.push_back(bench::Json()
-                       .put("engine", "fused")
-                       .put("threads", t)
-                       .put("ms", ms)
-                       .put("states_per_sec", sps)
-                       .put("speedup_vs_1", sps / base_sps));
+    out.runs.push_back(bench::Json()
+                           .put("engine", "fused")
+                           .put("threads", t)
+                           .put("ms", ms)
+                           .put("states_per_sec", sps)
+                           .put("speedup_vs_1", sps / base_sps));
+  }
+
+  // The stages check_all() runs, one public call each on a fresh checker;
+  // each call reuses what the earlier ones cached. find_livelock is the
+  // acyclic pass, plus the SCC and witness when the ¬I graph has a cycle.
+  {
+    const GlobalChecker c(ring, 1);
+    GlobalCheckResult staged;
+    double sum_ms = 0;
+    const auto stage = [&](const char* name,
+                           const std::function<void()>& fn) {
+      const double ms = ms_of(fn);
+      sum_ms += ms;
+      std::cout << "  stage " << name << ", 1 thread: " << ms << " ms\n";
+      out.stages.push_back(bench::Json()
+                               .put("stage", name)
+                               .put("threads", std::size_t{1})
+                               .put("ms", ms));
+    };
+    stage("deadlocks", [&] {
+      staged.num_deadlocks_outside_i =
+          c.count_deadlocks_outside_invariant(&staged.deadlock_samples);
+    });
+    stage("closure_graph", [&] {
+      staged.closure_ok = c.check_closure(&staged.closure_violation);
+    });
+    stage("find_livelock", [&] {
+      auto cycle = c.find_livelock();
+      staged.has_livelock = cycle.has_value();
+      staged.livelock_cycle = cycle.value_or(std::vector<GlobalStateId>{});
+    });
+    stage("weak_convergence",
+          [&] { staged.weakly_converges = c.check_weak_convergence(); });
+    if (staged.strongly_converges())
+      stage("recovery",
+            [&] { staged.max_recovery_steps = c.max_recovery_steps(); });
+    if (!same_result(staged, base))
+      throw ModelError("EXP-S1d: the staged verdict disagrees with check_all");
+    std::cout << "  stages sum to " << sum_ms << " ms\n";
   }
   const SymmetricCheckResult sym = check_symmetric(ring);
   if (sym.num_deadlocks_outside_i != base.num_deadlocks_outside_i ||
@@ -293,12 +339,13 @@ std::vector<bench::Json> full_verdict_report(const RingInstance& ring,
   bench::note(cat(
       "every run equals the 1-thread run on every field (deadlock census + "
       "samples, livelock witness, closure pair, weak convergence, recovery "
-      "bound) and check_symmetric on the verdict fields; speedups are "
-      "bounded by physical cores (",
+      "bound), and so does the staged 1-thread verdict; check_symmetric "
+      "agrees on the verdict fields; speedups are bounded by physical "
+      "cores (",
       resolve_threads(0), " hardware lane(s) here)",
       smoke ? " — SMOKE RUN, tiny K" : ""));
   bench::footer();
-  return runs;
+  return out;
 }
 
 void report_all() {
@@ -309,8 +356,7 @@ void report_all() {
   const Protocol p = protocols::sum_not_two_solution();
   const std::size_t k = smoke ? 8 : 16;
   const RingInstance ring(p, k, GlobalStateId{1} << 27);
-  const std::vector<bench::Json> verdict_runs =
-      full_verdict_report(ring, smoke);
+  const FullVerdictReport verdict = full_verdict_report(ring, smoke);
 
   bench::write_bench_json(
       "BENCH_global_engine.json",
@@ -325,8 +371,10 @@ void report_all() {
           .put("full_verdict_num_states", ring.num_states())
           .put("full_verdict_smoke", smoke)
           .put("full_verdict_sweep",
-               "check_all: fused two-pass + parallel SCC, thread sweep")
-          .put("full_verdict_runs", verdict_runs));
+               "check_all: fused two-pass + acyclic pass (parallel SCC "
+               "only on a not-I cycle), thread sweep")
+          .put("full_verdict_runs", verdict.runs)
+          .put("full_verdict_stages", verdict.stages));
   symmetry_report();
 }
 

@@ -3,7 +3,8 @@
 #
 #   scripts/check.sh            full: build, ctest, TSan test_parallel+test_obs
 #                               +test_parallel_scc+test_synthesis_parallel
-#                               +test_serve, ASan test_symmetry + CLI
+#                               +test_serve, ASan test_checker
+#                               +test_parallel_scc+test_symmetry + CLI
 #                               parsing/synthesis/lint tests, UBSan
 #                               core/local/analysis test binaries
 #   scripts/check.sh --fast     tier-1 only (skip the sanitizer builds)
@@ -40,11 +41,11 @@ cmake --build "$repo/build-tsan" -j "$jobs" \
 
 echo "== TSan: run =="
 "$repo/build-tsan/tests/test_parallel"
-# FB/FWBW decomposition, the checker's two passes, and the shared verdict
-# stages under both front-ends (full space and quotient): the randomized
-# cross-validation plus the zoo sweeps against the serial reference drive
-# every atomic (frontier dedup, transpose fill cursors, rank-space mask
-# writes, layered depth publication).
+# FB/FWBW decomposition, the checker's two passes, and the parallel verdict
+# stages a cyclic ¬I graph runs under both front-ends (full space and
+# quotient): the randomized cross-validation plus the zoo sweeps against
+# the serial reference drive every atomic (frontier dedup, transpose fill
+# cursors, rank-space mask writes). The acyclic pass is serial.
 "$repo/build-tsan/tests/test_parallel_scc"
 "$repo/build-tsan/tests/test_obs"
 # The zoo-wide bit-identity sweeps re-run full synthesis dozens of times and
@@ -64,13 +65,18 @@ if [[ "$mode" == "--tsan" ]]; then
   exit 0
 fi
 
-echo "== ASan: build test_symmetry + CLI tools =="
+echo "== ASan: build test_checker + test_parallel_scc + test_symmetry + CLI tools =="
 cmake -B "$repo/build-asan" -S "$repo" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DRINGSTAB_SANITIZE=address
 cmake --build "$repo/build-asan" -j "$jobs" \
-      --target test_symmetry ringstab_cli ringstab_batch
+      --target test_checker test_parallel_scc test_symmetry ringstab_cli \
+               ringstab_batch
 
 echo "== ASan: run =="
+# The acyclic pass indexes the rank arrays from an explicit DFS stack; these
+# three drive it on both front-ends, on random graphs, and on a 2^20 chain.
+"$repo/build-asan/tests/test_checker"
+"$repo/build-asan/tests/test_parallel_scc"
 "$repo/build-asan/tests/test_symmetry"
 ctest --test-dir "$repo/build-asan" --output-on-failure -j "$jobs" \
       -R 'cli_(bad_k|negative_k|missing_flag_value|flag_value_flag|batch_missing_value|check_symmetry|batch_symmetry|bad_jobs|synth_alias|synthesize_jobs|synthesize_bad_jobs|batch_synth|lint|lint_json|lint_error|batch_lint)'

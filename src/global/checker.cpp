@@ -1,7 +1,6 @@
 #include "global/checker.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 
 #include "core/fmt.hpp"
@@ -185,6 +184,13 @@ void GlobalChecker::ensure_graph() const {
   graph_built_ = true;
 }
 
+void GlobalChecker::ensure_acyclic() const {
+  if (acyclic_done_) return;
+  ensure_graph();
+  acyclic_ = acyclic_verdict(graph_);
+  acyclic_done_ = true;
+}
+
 void GlobalChecker::ensure_scc() const {
   if (scc_done_) return;
   ensure_graph();
@@ -280,109 +286,57 @@ bool all_reach_invariant(const NotInvariantGraph& g,
   return reaches.count() == nni;
 }
 
-std::size_t recovery_layering(const NotInvariantGraph& g,
-                              std::size_t num_threads) {
+std::optional<AcyclicVerdict> acyclic_verdict(const NotInvariantGraph& g) {
   const CsrGraph& csr = g.csr;
-  const PackedBitset& to_inv = g.to_inv;
-  const std::uint64_t nni = to_inv.size();
-  const obs::Span span("checker.recovery_layering");
-  // Each ¬I rank resolves its depth exactly once on either path, so the
-  // total is thread-count-invariant: |¬I| ranks.
-  obs::Counter& resolved_ctr = obs::counter("checker.recovery_resolved");
-  if (num_threads <= 1) {
-    // Longest path to I over the CSR (valid when strongly converging):
-    // memoized DFS; to_inv contributes the 1-step edges into I.
-    constexpr std::uint32_t kUnknown = 0xfffffffeu;
-    constexpr std::uint32_t kInProgress = 0xfffffffdu;
-    std::vector<std::uint32_t> depth(nni, kUnknown);
-    std::size_t best = 0;
-    std::uint64_t serial_resolved = 0;
-    auto dfs = [&](auto&& self, std::uint32_t r) -> std::uint32_t {
-      if (depth[r] == kInProgress)
-        throw ModelError("cycle outside I: not strongly converging");
-      if (depth[r] != kUnknown) return depth[r];
-      depth[r] = kInProgress;
-      const std::uint64_t lo = csr.row[r], hi = csr.row[r + 1];
-      if (lo == hi && !to_inv.test(r))
-        throw ModelError("deadlock outside I: not strongly converging");
-      std::uint32_t d = to_inv.test(r) ? 1 : 0;
-      for (std::uint64_t e = lo; e < hi; ++e)
-        d = std::max(d, 1 + self(self, csr.col[e]));
-      depth[r] = d;
-      ++serial_resolved;
-      return d;
-    };
-    for (std::uint32_t r = 0; r < nni; ++r)
-      best = std::max<std::size_t>(best, dfs(dfs, r));
-    resolved_ctr.add(serial_resolved);
-    return best;
-  }
-
-  // Parallel layering: a rank resolves to max(1 if it steps into I, 1 +
-  // resolved successor depths) once every CSR successor has resolved.
-  // Depths are set at most once and never change, so in-place relaxed
-  // publication is safe and the fixpoint is schedule-independent.
-  constexpr std::uint32_t kUnknown = 0xffffffffu;
-  std::vector<std::uint32_t> depth(nni, kUnknown);
-  PackedBitset done(nni);  // chunk-private words: plain set() below
-  std::uint64_t remaining = nni;
-  const std::uint64_t chunks = num_chunks(nni, 0);
-  std::vector<std::uint64_t> resolved(chunks);
-  std::vector<std::uint32_t> chunk_best(chunks);
-  std::size_t best = 0;
-  while (remaining > 0) {
-    std::fill(resolved.begin(), resolved.end(), 0);
-    std::fill(chunk_best.begin(), chunk_best.end(), 0);
-    parallel_for(nni, num_threads, 0,
-                 [&](const ChunkRange& chunk, std::size_t) {
-      const std::uint64_t w1 = (chunk.end + 63) >> 6;
-      for (std::uint64_t w = chunk.begin >> 6; w < w1;) {
-        if ((w & 7) == 0 && w + 8 <= w1 && tile_full(done, w)) {
-          w += 8;
-          continue;
+  const std::uint64_t nni = g.to_inv.size();
+  const obs::Span span("checker.acyclic_verdict");
+  constexpr std::uint32_t kOpen = 0xfffffffeu;  // on the DFS stack
+  // depth[r] is kUnvisited, kOpen, or r's longest path into I once closed.
+  std::vector<std::uint32_t> depth(nni, kUnvisited);
+  struct Frame {
+    std::uint32_t rank;
+    std::uint32_t depth;  // running max over the successors seen so far
+    std::uint64_t edge;   // next CSR edge to follow
+  };
+  std::vector<Frame> stack;
+  AcyclicVerdict out;
+  obs::Counter& closed_ctr = obs::counter("checker.acyclic_ranks");
+  std::uint64_t closed = 0;
+  const auto open = [&](std::uint32_t r) {
+    depth[r] = kOpen;
+    stack.push_back({r, g.to_inv.test(r) ? 1u : 0u, csr.row[r]});
+  };
+  for (std::uint32_t root = 0; root < nni; ++root) {
+    if (depth[root] != kUnvisited) continue;
+    open(root);
+    while (!stack.empty()) {
+      Frame& top = stack.back();
+      if (top.edge < csr.row[top.rank + 1]) {
+        const std::uint32_t s = csr.col[top.edge++];
+        if (depth[s] == kOpen) {  // back edge: s is on the current path
+          closed_ctr.add(closed);
+          return std::nullopt;
         }
-        std::uint64_t todo = ~done.word(w);
-        const std::uint64_t base = w * 64;
-        ++w;
-        while (todo) {
-          const std::uint64_t r =
-              base + static_cast<std::uint64_t>(std::countr_zero(todo));
-          todo &= todo - 1;
-          if (r >= chunk.end) break;
-          const std::uint64_t lo = csr.row[r], hi = csr.row[r + 1];
-          if (lo == hi && !to_inv.test(r))
-            throw ModelError("deadlock outside I: not strongly converging");
-          std::uint32_t d = to_inv.test(r) ? 1 : 0;
-          bool all_known = true;
-          for (std::uint64_t e = lo; e < hi; ++e) {
-            std::atomic_ref<std::uint32_t> theirs(depth[csr.col[e]]);
-            const std::uint32_t t = theirs.load(std::memory_order_relaxed);
-            if (t == kUnknown) {
-              all_known = false;
-              break;
-            }
-            d = std::max(d, 1 + t);
-          }
-          if (!all_known) continue;
-          std::atomic_ref<std::uint32_t> mine(depth[r]);
-          mine.store(d, std::memory_order_relaxed);
-          done.set(r);
-          ++resolved[chunk.index];
-          chunk_best[chunk.index] = std::max(chunk_best[chunk.index], d);
-        }
+        if (depth[s] == kUnvisited)
+          open(s);
+        else
+          top.depth = std::max(top.depth, 1 + depth[s]);
+        continue;
       }
-    });
-    std::uint64_t progress = 0;
-    for (std::uint64_t c = 0; c < chunks; ++c) {
-      progress += resolved[c];
-      best = std::max<std::size_t>(best, chunk_best[c]);
+      const Frame done = top;
+      stack.pop_back();
+      depth[done.rank] = done.depth;
+      ++closed;
+      // Depth 0: no edge into I and no successor, a ¬I deadlock.
+      if (done.depth == 0) out.reaches_invariant = false;
+      out.recovery_steps =
+          std::max<std::size_t>(out.recovery_steps, done.depth);
+      if (!stack.empty())
+        stack.back().depth = std::max(stack.back().depth, 1 + done.depth);
     }
-    if (progress == 0)
-      throw ModelError("cycle outside I: not strongly converging");
-    resolved_ctr.add(progress);
-    remaining -= progress;
   }
-  return best;
+  closed_ctr.add(closed);
+  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -405,6 +359,8 @@ std::size_t GlobalChecker::count_deadlocks_outside_invariant(
 
 std::optional<std::vector<GlobalStateId>> GlobalChecker::find_livelock()
     const {
+  ensure_acyclic();
+  if (acyclic_) return std::nullopt;
   ensure_scc();
   const auto ranks = livelock_witness(graph_, scc_);
   if (!ranks) return std::nullopt;
@@ -415,6 +371,8 @@ std::optional<std::vector<GlobalStateId>> GlobalChecker::find_livelock()
 }
 
 std::vector<GlobalStateId> GlobalChecker::livelock_states() const {
+  ensure_acyclic();
+  if (acyclic_) return {};
   ensure_scc();
   std::vector<GlobalStateId> out;
   for (std::uint64_t w = 0; w < scc_.nontrivial.num_words(); ++w) {
@@ -437,13 +395,17 @@ bool GlobalChecker::check_closure(
 }
 
 bool GlobalChecker::check_weak_convergence() const {
-  ensure_graph();
+  ensure_acyclic();
+  if (acyclic_) return acyclic_->reaches_invariant;
   return all_reach_invariant(graph_, num_threads_);
 }
 
 std::size_t GlobalChecker::max_recovery_steps() const {
-  ensure_graph();
-  return recovery_layering(graph_, num_threads_);
+  ensure_acyclic();
+  if (!acyclic_) throw ModelError("cycle outside I: not strongly converging");
+  if (!acyclic_->reaches_invariant)
+    throw ModelError("deadlock outside I: not strongly converging");
+  return acyclic_->recovery_steps;
 }
 
 GlobalCheckResult GlobalChecker::check_all() const {

@@ -64,11 +64,21 @@ std::optional<std::vector<std::uint32_t>> livelock_witness(
 /// fixpoint whose round count is thread-count-invariant.
 bool all_reach_invariant(const NotInvariantGraph& g, std::size_t num_threads);
 
-/// Longest path into I, by serial memoized DFS at 1 lane and a layered
-/// fixpoint above that. Throws ModelError on a ¬I cycle or deadlock, so it
-/// is meaningful only when the instance strongly converges.
-std::size_t recovery_layering(const NotInvariantGraph& g,
-                              std::size_t num_threads);
+/// What one DFS settles about an acyclic ¬I graph.
+struct AcyclicVerdict {
+  /// Every rank reaches I: on an acyclic graph, exactly when no rank is a
+  /// ¬I deadlock (no CSR successor and no edge into I).
+  bool reaches_invariant = true;
+  /// Longest path into I, d(r) = max(1 if r steps into I, 1 + d(s) over
+  /// CSR successors s); a recovery bound when reaches_invariant.
+  std::size_t recovery_steps = 0;
+};
+
+/// One serial DFS with an explicit stack, rooted at each rank in ascending
+/// order: nullopt at the first back edge (a self-loop is one), i.e. exactly
+/// when the ¬I graph has a cycle. Counts closed ranks in
+/// `checker.acyclic_ranks`.
+std::optional<AcyclicVerdict> acyclic_verdict(const NotInvariantGraph& g);
 
 /// Exhaustive checker over |D|^K global states.
 ///
@@ -77,16 +87,17 @@ std::size_t recovery_layering(const NotInvariantGraph& g,
 /// in one cursor sweep. Pass 2 walks successors once, checking closure for
 /// I-states and materializing the NotInvariantGraph over ¬I *ranks*
 /// (popcount-indexed into the invariant mask). The shared verdict stages
-/// above — livelock SCC, weak convergence, recovery layering — then run on
-/// that CSR with no further decoding, sweeping the packed bitsets in
-/// 64-byte tiles that skip fully-settled words; check_symmetric runs the
-/// same stages over necklace ranks.
+/// above then run on that CSR with no further decoding: acyclic_verdict
+/// decides an acyclic ¬I graph (Proposition 2.1: every strongly converging
+/// instance) outright; only a ¬I cycle runs the livelock SCC and the
+/// weak-convergence fixpoint, sweeping the packed bitsets in 64-byte tiles
+/// that skip settled words. check_symmetric runs them over necklace ranks.
 ///
 /// Verdicts, counts, samples, step bounds, and witness cycles are identical
-/// at every thread count: per-chunk partial results are merged in ascending
-/// chunk order over a thread-count-independent chunk partition, and the SCC
-/// labeling is canonical (smallest member). A serial brute-force reference
-/// checker in tests/ cross-validates every field.
+/// at every thread count: the acyclic pass is serial, per-chunk partials
+/// merge in ascending order over a thread-count-independent chunk
+/// partition, and the SCC labeling is canonical (smallest member). A serial
+/// brute-force reference checker in tests/ cross-validates every field.
 ///
 /// `num_threads > 1` runs the sweeps as chunked scans on the shared pool.
 /// A checker instance caches its sweeps and is not safe for concurrent use.
@@ -124,8 +135,8 @@ class GlobalChecker {
       std::optional<std::pair<GlobalStateId, GlobalStateId>>* violation =
           nullptr) const;
 
-  /// Every global state can reach I (weak convergence), by backward
-  /// fixpoint.
+  /// Every global state can reach I (weak convergence): read off the
+  /// acyclic pass, or by backward fixpoint when the ¬I graph has a cycle.
   bool check_weak_convergence() const;
 
   /// Longest path to I in the (acyclic, deadlock-free) ¬I subgraph.
@@ -139,6 +150,7 @@ class GlobalChecker {
   // Pipeline stages, each cached after the first call.
   void ensure_masks() const;  // pass 1: invariant mask + deadlock census
   void ensure_graph() const;  // pass 2: closure + ¬I CSR + rank tables
+  void ensure_acyclic() const;  // acyclic_verdict over the cached graph
   void ensure_scc() const;    // livelock_scc over the cached graph
   std::uint32_t rank_of(GlobalStateId s) const;
 
@@ -160,6 +172,9 @@ class GlobalChecker {
   mutable bool closure_ok_ = true;
   mutable std::optional<std::pair<GlobalStateId, GlobalStateId>>
       closure_violation_;
+
+  mutable bool acyclic_done_ = false;
+  mutable std::optional<AcyclicVerdict> acyclic_;  // nullopt: a ¬I cycle
 
   mutable bool scc_done_ = false;
   mutable ParallelSccResult scc_;

@@ -320,14 +320,18 @@ SymmetricCheckResult check_symmetric(const RingInstance& ring,
         break;
       }
   }
+  if (const auto acyclic = acyclic_verdict(q.graph)) {
+    res.weakly_converges = acyclic->reaches_invariant;
+    res.max_recovery_steps =
+        res.strongly_converges() ? acyclic->recovery_steps : 0;
+    return res;
+  }
   res.weakly_converges = all_reach_invariant(q.graph, num_threads);
   const ParallelSccResult scc = livelock_scc(q.graph, num_threads);
   if (const auto cycle = livelock_witness(q.graph, scc)) {
     res.has_livelock = true;
     res.livelock_cycle = lift_quotient_cycle(ring, q, *cycle);
   }
-  if (res.strongly_converges())
-    res.max_recovery_steps = recovery_layering(q.graph, num_threads);
   return res;
 }
 

@@ -20,7 +20,7 @@
 // orbit representative directly, in ascending canonical-id order and
 // amortized O(1), never scanning the |D|^K full space; the ¬I necklaces,
 // with canonicalized successors, become a NotInvariantGraph, and the shared
-// livelock, weak-convergence, and recovery stages run on it unchanged.
+// verdict stages run on it unchanged.
 // EXP-S1c / BENCH_symmetry.json measure the census against the full-space
 // sweep: the quotient wins from K≈10 upward and the gap widens with K.
 #pragma once
@@ -85,7 +85,7 @@ struct SymmetricCheckResult {
   /// An actual transition leaving I: canonical source, raw successor.
   std::optional<std::pair<GlobalStateId, GlobalStateId>> closure_violation;
 
-  /// Every state can reach I (weak convergence), by quotient fixpoint.
+  /// Every state can reach I (weak convergence), decided on the quotient.
   bool weakly_converges = false;
 
   /// Worst-case steps to reach I; computed (on the quotient) only when
@@ -99,10 +99,10 @@ struct SymmetricCheckResult {
 };
 
 /// `num_threads > 1` parallelizes the necklace enumeration, the
-/// quotient-graph build with its closure scan, and the shared verdict
-/// stages on the shared pool; all results — including the lifted livelock
-/// witness, which is anchored canonically — stay identical to the serial
-/// run at every thread count.
+/// quotient-graph build with its closure scan, and a cyclic quotient's SCC
+/// and fixpoint on the shared pool; all results — including the lifted
+/// livelock witness, which is anchored canonically — stay identical to the
+/// serial run at every thread count.
 SymmetricCheckResult check_symmetric(const RingInstance& ring,
                                      std::size_t max_samples = 8,
                                      std::size_t num_threads = 1);

@@ -3,9 +3,9 @@
 // The scheme is forward–backward reachability coloring (FB/FWBW) with trim
 // preprocessing:
 //  * trim peels vertices that cannot lie on a cycle (no live predecessor or
-//    no live successor) via a Kahn-style worklist — O(V+E) total, and on
-//    the DAG-shaped ¬I graphs of converging protocols it usually decides
-//    everything before a single reachability sweep runs;
+//    no live successor) via a Kahn-style worklist — O(V+E) total; the
+//    global checker sends only ¬I graphs with a cycle here (acyclic ones
+//    are decided by acyclic_verdict in global/checker.hpp);
 //  * each surviving region picks its smallest vertex as pivot and computes
 //    the forward set F and backward set B by level-synchronous BFS — the
 //    memory-bound part, parallelized over the shared jthread pool — so

@@ -4,6 +4,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <utility>
@@ -36,7 +37,8 @@ bool write_all(int fd, const std::string& data) {
 
 /// Buffered line reader over a blocking fd. A request line can be large
 /// (it carries the whole .ring source, escaped) so the buffer grows as
-/// needed; read_line returns false on EOF / error with no complete line.
+/// needed, up to kMaxRequestLineBytes; read_line returns false on EOF /
+/// error with no complete line, and on a longer line (too_long()).
 class LineReader {
  public:
   explicit LineReader(int fd) : fd_(fd) {}
@@ -44,6 +46,8 @@ class LineReader {
   bool read_line(std::string& line) {
     for (;;) {
       const std::size_t nl = buf_.find('\n', scan_);
+      too_long_ = std::min(nl, buf_.size()) > kMaxRequestLineBytes;
+      if (too_long_) return false;
       if (nl != std::string::npos) {
         line.assign(buf_, 0, nl);
         buf_.erase(0, nl + 1);
@@ -62,10 +66,13 @@ class LineReader {
     }
   }
 
+  bool too_long() const { return too_long_; }
+
  private:
   int fd_;
   std::string buf_;
   std::size_t scan_ = 0;
+  bool too_long_ = false;
 };
 
 }  // namespace
@@ -149,6 +156,13 @@ void Server::serve_connection(Connection* conn) {
     if (!write_all(conn->fd, encode_response(resp) + "\n")) break;
     requests_.fetch_add(1, std::memory_order_relaxed);
     if (obs::enabled()) obs::counter("serve.requests").add(1);
+  }
+  if (reader.too_long()) {
+    // Refuse once and hang up: the rest of the line is never read.
+    Response refusal;
+    refusal.error = "request line longer than " +
+                    std::to_string(kMaxRequestLineBytes) + " bytes";
+    write_all(conn->fd, encode_response(refusal) + "\n");
   }
   ::close(conn->fd);
   conn->done.store(true, std::memory_order_release);

@@ -33,6 +33,11 @@
 
 namespace ringstab::serve {
 
+/// Longest request line (newline excluded) a connection may send: a longer
+/// one gets one ok:false response naming the limit, then the connection
+/// closes, so no client can grow the daemon's buffer without bound.
+inline constexpr std::size_t kMaxRequestLineBytes = std::size_t{1} << 20;
+
 struct ServerOptions {
   std::string socket_path;          // required; unlinked on stop()
   std::size_t cache_capacity = 1024;  // verdict-cache entries (0 disables)

@@ -1,7 +1,9 @@
 // The FB/FWBW parallel SCC engine: canonical labels cross-validated against
 // the serial Tarjan on randomized digraphs, plus end-to-end livelock
 // agreement between the global engine (parallel SCC, at 1 and 4 threads)
-// and the serial reference checker over the protocol zoo.
+// and the serial reference checker over the protocol zoo. The checker's
+// acyclic pass is held to the same Tarjan, to the weak-convergence
+// fixpoint, and to a brute-force longest path on the same random graphs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -42,6 +44,55 @@ void cross_validate(const Digraph& g) {
       ASSERT_EQ(par.on_cycle(v), on_cycle(g, serial, v))
           << "vertex " << v << " at " << threads << " threads";
   }
+}
+
+/// `g` with random `to_inv` bits at a per-graph density. On about half the
+/// graphs every vertex without out-arcs also steps into I, so DAGs where
+/// every vertex reaches I are as common as DAGs with a deadlock.
+NotInvariantGraph with_random_to_inv(const Digraph& g, std::mt19937& rng) {
+  std::uniform_real_distribution<double> coin(0.0, 1.0);
+  const double share = 0.25 + 0.75 * coin(rng);
+  const bool sinks_exit = coin(rng) < 0.5;
+  NotInvariantGraph out{to_csr(g), PackedBitset(g.num_vertices())};
+  for (VertexId v = 0; v < g.num_vertices(); ++v)
+    if (coin(rng) < share || (sinks_exit && g.out_degree(v) == 0))
+      out.to_inv.set(v);
+  return out;
+}
+
+/// Longest path into I by relaxation: on a DAG, |V| + 1 rounds of
+/// d(v) = max(1 if v steps into I, 1 + d(w) for every arc v -> w) from
+/// d = 0 reach the fixpoint.
+std::size_t brute_force_depth(const Digraph& g, const PackedBitset& to_inv) {
+  std::vector<std::size_t> d(g.num_vertices(), 0);
+  for (std::size_t round = 0; round <= g.num_vertices(); ++round) {
+    std::vector<std::size_t> next(g.num_vertices(), 0);
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      next[v] = to_inv.test(v) ? 1 : 0;
+      for (const VertexId w : g.out(v)) next[v] = std::max(next[v], 1 + d[w]);
+    }
+    d = std::move(next);
+  }
+  return d.empty() ? 0 : *std::max_element(d.begin(), d.end());
+}
+
+/// acyclic_verdict is nullopt exactly when Tarjan finds a vertex on a cycle
+/// (a self-loop included); when it finishes, its reach verdict equals the
+/// weak-convergence fixpoint at 1 and 4 lanes and its depth the brute-force
+/// longest path.
+void cross_validate_acyclic_pass(const Digraph& g, std::mt19937& rng) {
+  const NotInvariantGraph ni = with_random_to_inv(g, rng);
+  const SccResult serial = strongly_connected_components(g);
+  bool cyclic = false;
+  for (VertexId v = 0; v < g.num_vertices(); ++v)
+    cyclic = cyclic || on_cycle(g, serial, v);
+  const auto pass = acyclic_verdict(ni);
+  ASSERT_EQ(pass.has_value(), !cyclic) << g.num_vertices() << " vertices";
+  if (!pass) return;
+  for (const std::size_t threads : {1u, 4u})
+    ASSERT_EQ(pass->reaches_invariant, all_reach_invariant(ni, threads))
+        << threads << " threads";
+  ASSERT_EQ(pass->recovery_steps, brute_force_depth(g, ni.to_inv));
 }
 
 TEST(ParallelScc, EmptyGraph) {
@@ -94,6 +145,7 @@ TEST(ParallelScc, TwoCyclesAndABridge) {
 
 TEST(ParallelScc, RandomDigraphsMatchSerialTarjan) {
   std::mt19937 rng(20260809);
+  std::mt19937 dag_rng(20261017);  // DAGs and to_inv bits
   for (int round = 0; round < 40; ++round) {
     const std::size_t n = 1 + rng() % 120;
     Digraph g(n);
@@ -104,7 +156,45 @@ TEST(ParallelScc, RandomDigraphsMatchSerialTarjan) {
       for (VertexId v = 0; v < n; ++v)
         if (coin(rng) < p) g.add_arc(u, v);  // self-loops included
     cross_validate(g);
+    cross_validate_acyclic_pass(g, dag_rng);
+
+    // A random DAG of the same size and density: arcs only go up a random
+    // vertex order, so the pass's ascending roots meet them in any order.
+    std::vector<VertexId> order(n);
+    for (VertexId v = 0; v < n; ++v) order[v] = v;
+    std::shuffle(order.begin(), order.end(), dag_rng);
+    Digraph dag(n);
+    for (VertexId u = 0; u < n; ++u)
+      for (VertexId v = 0; v < n; ++v)
+        if (order[u] < order[v] && coin(dag_rng) < 2 * p) dag.add_arc(u, v);
+    cross_validate(dag);
+    cross_validate_acyclic_pass(dag, dag_rng);
   }
+}
+
+TEST(AcyclicVerdict, SelfLoopIsACycle) {
+  Digraph g(1);
+  g.add_arc(0, 0);
+  NotInvariantGraph ni{to_csr(g), PackedBitset(1)};
+  ni.to_inv.set(0);  // an exit into I does not break the cycle
+  EXPECT_FALSE(acyclic_verdict(ni).has_value());
+}
+
+TEST(AcyclicVerdict, LongChainNeedsNoCallStack) {
+  // Rank r steps to r + 1 and the last rank into I: 2^20 frames deep, far
+  // past what a recursive DFS survives on a default thread stack.
+  const std::uint32_t n = 1u << 20;
+  NotInvariantGraph ni{CsrGraph{}, PackedBitset(n)};
+  ni.csr.row.resize(n + 1);
+  for (std::uint32_t r = 0; r < n; ++r) ni.csr.row[r] = r;
+  ni.csr.row[n] = n - 1;
+  ni.csr.col.resize(n - 1);
+  for (std::uint32_t r = 0; r + 1 < n; ++r) ni.csr.col[r] = r + 1;
+  ni.to_inv.set(n - 1);
+  const auto pass = acyclic_verdict(ni);
+  ASSERT_TRUE(pass.has_value());
+  EXPECT_TRUE(pass->reaches_invariant);
+  EXPECT_EQ(pass->recovery_steps, n);
 }
 
 TEST(ParallelScc, LargeRandomDigraphExercisesFbRecursion) {

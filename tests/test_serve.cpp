@@ -8,9 +8,12 @@
 // failures surfacing through Session::finish(), and the
 // `"interrupted": true` manifest stamp.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <bit>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -473,6 +476,50 @@ TEST(ServeServer, MalformedRequestGetsAnErrorResponseNotADisconnect) {
     const Response next = client.request(good);
     EXPECT_TRUE(next.ok) << next.error;
   }
+  server.stop();
+}
+
+TEST(ServeServer, OversizedRequestLineIsRefusedThenDisconnected) {
+  ServerOptions opts;
+  opts.socket_path = socket_path("oversized");
+  Server server(opts);
+  server.start();
+  {
+    // A raw connection sending one byte past the cap and no newline.
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::memcpy(addr.sun_path, opts.socket_path.c_str(),
+                opts.socket_path.size() + 1);
+    ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                        sizeof addr),
+              0);
+    const std::string flood(kMaxRequestLineBytes + 1, 'x');
+    for (std::size_t off = 0; off < flood.size();) {
+      const ssize_t n = ::send(fd, flood.data() + off, flood.size() - off,
+                               MSG_NOSIGNAL);
+      ASSERT_GT(n, 0) << std::strerror(errno);
+      off += static_cast<std::size_t>(n);
+    }
+    std::string reply;
+    char c = 0;
+    while (::read(fd, &c, 1) == 1 && c != '\n') reply += c;
+    const Response resp = decode_response(reply);
+    EXPECT_FALSE(resp.ok);
+    EXPECT_NE(resp.error.find(std::to_string(kMaxRequestLineBytes)),
+              std::string::npos)
+        << resp.error;
+    EXPECT_EQ(::read(fd, &c, 1), 0) << "the daemon hangs up after refusing";
+    ::close(fd);
+  }
+  // The daemon itself is unharmed: the next client is answered.
+  Client client(opts.socket_path);
+  Request good;
+  good.cmd = "lint";
+  good.source = "protocol p { }";
+  const Response next = client.request(good);
+  EXPECT_TRUE(next.ok) << next.error;
   server.stop();
 }
 
