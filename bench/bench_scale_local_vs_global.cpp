@@ -5,7 +5,9 @@
 #include <functional>
 
 #include "bench_util.hpp"
+#include "core/builder.hpp"
 #include "core/fmt.hpp"
+#include "core/parser.hpp"
 #include "global/checker.hpp"
 #include "global/symmetry.hpp"
 #include "local/convergence.hpp"
@@ -231,18 +233,19 @@ struct FullVerdictReport {
 
 // EXP-S1d — full-verdict throughput of the global engine (one classify
 // pass, one successor pass building the ¬I CSR, then the serial acyclic
-// pass, and FB/FWBW parallel SCC with CSR-resident tiled fixpoints only
-// when the ¬I graph has a cycle) across a thread sweep, then one 1-thread
-// verdict split by stage through the public calls. Every run must equal
-// the 1-thread run on every field, witness included, the staged verdict
-// must equal it too, and the rotation quotient (check_symmetric) must
-// agree on the verdict fields both report; a mismatch aborts the bench.
-// The serial brute-force cross-check lives in tests/
-// (testing::reference_check). RINGSTAB_BENCH_SMOKE=1 shrinks K for the CI
-// smoke job.
+// pass, and the serial Tarjan pass only when the ¬I graph has a cycle)
+// across a thread sweep, then one 1-thread verdict split by stage through
+// the public calls. Every run must equal the 1-thread run on every field,
+// witness included, the staged verdict must equal it too, and the rotation
+// quotient (check_symmetric) must agree on the verdict fields both report;
+// a mismatch aborts the bench. The serial brute-force cross-check lives in
+// tests/ (testing::reference_check). RINGSTAB_BENCH_SMOKE=1 shrinks K for
+// the CI smoke job.
 FullVerdictReport full_verdict_report(const RingInstance& ring, bool smoke) {
   bench::header(
-      "EXP-S1d", "full-verdict engine thread sweep",
+      "EXP-S1d",
+      cat("full-verdict engine thread sweep, ", ring.protocol().name(),
+          " K=", ring.ring_size()),
       "a full verdict (closure, deadlock census, livelock, weak "
       "convergence, recovery bound) decodes the state space exactly twice; "
       "everything after the second pass runs on the cached ¬I CSR");
@@ -293,7 +296,8 @@ FullVerdictReport full_verdict_report(const RingInstance& ring, bool smoke) {
 
   // The stages check_all() runs, one public call each on a fresh checker;
   // each call reuses what the earlier ones cached. find_livelock is the
-  // acyclic pass, plus the SCC and witness when the ¬I graph has a cycle.
+  // acyclic pass, plus the Tarjan pass and witness when the ¬I graph has a
+  // cycle; weak_convergence then reads the Tarjan pass's verdict.
   {
     const GlobalChecker c(ring, 1);
     GlobalCheckResult staged;
@@ -348,6 +352,18 @@ FullVerdictReport full_verdict_report(const RingInstance& ring, bool smoke) {
   return out;
 }
 
+/// 3-coloring with the single recolor action: a ¬I graph with a cycle
+/// that splits into about as many components as it has states.
+Protocol recolor_ring() {
+  return build_protocol(parse_protocol_source(
+      "protocol recolor;\n"
+      "domain 3;\n"
+      "reads -1 .. 0;\n"
+      "legit: x[-1] != x[0];\n"
+      "action recolor: x[-1] == x[0] -> x[0] := (x[0] + 1) % 3;\n",
+      "recolor.ring"));
+}
+
 void report_all() {
   report();
   const std::vector<bench::Json> sweep_runs = global_engine_report();
@@ -357,6 +373,10 @@ void report_all() {
   const std::size_t k = smoke ? 8 : 16;
   const RingInstance ring(p, k, GlobalStateId{1} << 27);
   const FullVerdictReport verdict = full_verdict_report(ring, smoke);
+  // The many-SCC row: its own JSON sections, so ringstab-perf diff never
+  // pairs its rows with the K=16 ones.
+  const RingInstance many(recolor_ring(), smoke ? 6 : 13);
+  const FullVerdictReport many_scc = full_verdict_report(many, smoke);
 
   bench::write_bench_json(
       "BENCH_global_engine.json",
@@ -371,10 +391,15 @@ void report_all() {
           .put("full_verdict_num_states", ring.num_states())
           .put("full_verdict_smoke", smoke)
           .put("full_verdict_sweep",
-               "check_all: fused two-pass + acyclic pass (parallel SCC "
+               "check_all: fused two-pass + acyclic pass (serial Tarjan "
                "only on a not-I cycle), thread sweep")
           .put("full_verdict_runs", verdict.runs)
-          .put("full_verdict_stages", verdict.stages));
+          .put("full_verdict_stages", verdict.stages)
+          .put("many_scc_protocol", many.protocol().name())
+          .put("many_scc_ring_size", many.ring_size())
+          .put("many_scc_num_states", many.num_states())
+          .put("many_scc_runs", many_scc.runs)
+          .put("many_scc_stages", many_scc.stages));
   symmetry_report();
 }
 

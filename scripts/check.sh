@@ -7,6 +7,7 @@
 #                               +test_parallel_scc+test_symmetry + CLI
 #                               parsing/synthesis/lint tests, UBSan
 #                               core/local/analysis test binaries
+#                               +test_checker+test_parallel_scc
 #   scripts/check.sh --fast     tier-1 only (skip the sanitizer builds)
 #   scripts/check.sh --tsan     TSan stage only (the CI tsan job's recipe)
 #
@@ -41,11 +42,11 @@ cmake --build "$repo/build-tsan" -j "$jobs" \
 
 echo "== TSan: run =="
 "$repo/build-tsan/tests/test_parallel"
-# FB/FWBW decomposition, the checker's two passes, and the parallel verdict
-# stages a cyclic ¬I graph runs under both front-ends (full space and
-# quotient): the randomized cross-validation plus the zoo sweeps against
-# the serial reference drive every atomic (frontier dedup, transpose fill
-# cursors, rank-space mask writes). The acyclic pass is serial.
+# The checker's two parallel decode passes under both front-ends (full
+# space and quotient): the zoo sweeps against the serial reference, at 1
+# and 4 threads, drive the chunked census merges and the rank-space
+# to_inv writes. The acyclic and Tarjan verdict passes after them are
+# serial.
 "$repo/build-tsan/tests/test_parallel_scc"
 "$repo/build-tsan/tests/test_obs"
 # The zoo-wide bit-identity sweeps re-run full synthesis dozens of times and
@@ -73,25 +74,30 @@ cmake --build "$repo/build-asan" -j "$jobs" \
                ringstab_batch
 
 echo "== ASan: run =="
-# The acyclic pass indexes the rank arrays from an explicit DFS stack; these
-# three drive it on both front-ends, on random graphs, and on a 2^20 chain.
+# The acyclic and Tarjan passes index the rank arrays from explicit stacks;
+# these three drive both on both front-ends, on random graphs, and on a
+# 2^20-rank chain and cycle.
 "$repo/build-asan/tests/test_checker"
 "$repo/build-asan/tests/test_parallel_scc"
 "$repo/build-asan/tests/test_symmetry"
 ctest --test-dir "$repo/build-asan" --output-on-failure -j "$jobs" \
       -R 'cli_(bad_k|negative_k|missing_flag_value|flag_value_flag|batch_missing_value|check_symmetry|batch_symmetry|bad_jobs|synth_alias|synthesize_jobs|synthesize_bad_jobs|batch_synth|lint|lint_json|lint_error|batch_lint)'
 
-echo "== UBSan: build core/local/analysis test binaries =="
+echo "== UBSan: build core/local/analysis + checker test binaries =="
 cmake -B "$repo/build-ubsan" -S "$repo" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DRINGSTAB_SANITIZE=undefined
 cmake --build "$repo/build-ubsan" -j "$jobs" \
       --target test_domain test_local_state test_protocol test_parser \
-               test_deadlock test_livelock test_lint
+               test_deadlock test_livelock test_lint test_checker \
+               test_parallel_scc
 
 echo "== UBSan: run =="
-# Recovery is disabled in the build, so any UB aborts the stage.
+# Recovery is disabled in the build, so any UB aborts the stage. The
+# checker's acyclic and Tarjan passes index rank arrays from explicit
+# stacks; test_checker and test_parallel_scc drive both.
 for t in test_domain test_local_state test_protocol test_parser \
-         test_deadlock test_livelock test_lint; do
+         test_deadlock test_livelock test_lint test_checker \
+         test_parallel_scc; do
   "$repo/build-ubsan/tests/$t"
 done
 

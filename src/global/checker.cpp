@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <unordered_map>
 
 #include "core/fmt.hpp"
 #include "obs/obs.hpp"
@@ -11,13 +12,6 @@ namespace ringstab {
 namespace {
 
 constexpr std::uint32_t kUnvisited = 0xffffffffu;
-
-/// All 8 words of the 64-byte tile starting at word `w` fully set?
-inline bool tile_full(const PackedBitset& bs, std::uint64_t w) {
-  std::uint64_t acc = ~std::uint64_t{0};
-  for (std::uint64_t i = 0; i < 8; ++i) acc &= bs.word(w + i);
-  return acc == ~std::uint64_t{0};
-}
 
 }  // namespace
 
@@ -191,26 +185,19 @@ void GlobalChecker::ensure_acyclic() const {
   acyclic_done_ = true;
 }
 
-void GlobalChecker::ensure_scc() const {
-  if (scc_done_) return;
+void GlobalChecker::ensure_cyclic() const {
+  if (cyclic_done_) return;
   ensure_graph();
-  scc_ = livelock_scc(graph_, num_threads_);
-  scc_done_ = true;
+  cyclic_ = cyclic_verdict(graph_);
+  cyclic_done_ = true;
 }
-
 
 // ---------------------------------------------------------------------------
 // Shared verdict stages over a NotInvariantGraph.
 // ---------------------------------------------------------------------------
 
-ParallelSccResult livelock_scc(const NotInvariantGraph& g,
-                               std::size_t num_threads) {
-  const obs::Span span("checker.livelock_scc");
-  return parallel_scc(g.csr, num_threads);
-}
-
 std::optional<std::vector<std::uint32_t>> livelock_witness(
-    const NotInvariantGraph& g, const ParallelSccResult& scc) {
+    const NotInvariantGraph& g, const SccLabels& scc) {
   // Canonical witness anchor: the smallest rank on any ¬I cycle.
   std::uint64_t start = kUnvisited;
   for (std::uint64_t w = 0; w < scc.nontrivial.num_words(); ++w) {
@@ -223,67 +210,6 @@ std::optional<std::vector<std::uint32_t>> livelock_witness(
   if (start == kUnvisited) return std::nullopt;
   return extract_component_cycle(g.csr, scc,
                                  static_cast<std::uint32_t>(start));
-}
-
-bool all_reach_invariant(const NotInvariantGraph& g,
-                         std::size_t num_threads) {
-  const CsrGraph& csr = g.csr;
-  const PackedBitset& to_inv = g.to_inv;
-  const std::uint64_t nni = to_inv.size();
-  const obs::Span span("checker.weak_convergence");
-  obs::Counter& rounds = obs::counter("checker.fixpoint_rounds");
-  obs::Counter& frontier = obs::counter("checker.frontier_states");
-  // Backward fixpoint in rank space, as synchronous (Jacobi) rounds over
-  // the CSR: to_inv acts as a constant edge into the (already reaching)
-  // invariant, so the per-round growth — and the round count — matches a
-  // full-space sweep from I exactly.
-  PackedBitset reaches(nni);
-  PackedBitset next(nni);
-  const std::uint64_t chunks = num_chunks(nni, 0);
-  std::vector<std::uint8_t> chunk_changed(chunks, 0);
-  while (true) {
-    rounds.add(1);
-    next = reaches;
-    std::fill(chunk_changed.begin(), chunk_changed.end(), 0);
-    parallel_for(nni, num_threads, 0,
-                 [&](const ChunkRange& chunk, std::size_t) {
-      bool changed = false;
-      std::uint64_t grew = 0;
-      const std::uint64_t w1 = (chunk.end + 63) >> 6;
-      for (std::uint64_t w = chunk.begin >> 6; w < w1;) {
-        // 64-byte tiling: skip 8 fully-settled words at a time, then
-        // whole words, so late rounds touch only the live frontier.
-        if ((w & 7) == 0 && w + 8 <= w1 && tile_full(reaches, w)) {
-          w += 8;
-          continue;
-        }
-        std::uint64_t todo = ~reaches.word(w);
-        const std::uint64_t base = w * 64;
-        ++w;
-        while (todo) {
-          const std::uint64_t r =
-              base + static_cast<std::uint64_t>(std::countr_zero(todo));
-          todo &= todo - 1;
-          if (r >= chunk.end) break;
-          bool hit = to_inv.test(r);
-          for (std::uint64_t e = csr.row[r]; !hit && e < csr.row[r + 1]; ++e)
-            hit = reaches.test(csr.col[e]);
-          if (hit) {
-            next.set(r);
-            changed = true;
-            ++grew;
-          }
-        }
-      }
-      chunk_changed[chunk.index] = changed;
-      frontier.add(grew);
-    });
-    if (std::find(chunk_changed.begin(), chunk_changed.end(), 1) ==
-        chunk_changed.end())
-      break;
-    std::swap(reaches, next);
-  }
-  return reaches.count() == nni;
 }
 
 std::optional<AcyclicVerdict> acyclic_verdict(const NotInvariantGraph& g) {
@@ -339,6 +265,115 @@ std::optional<AcyclicVerdict> acyclic_verdict(const NotInvariantGraph& g) {
   return out;
 }
 
+CyclicVerdict cyclic_verdict(const NotInvariantGraph& g) {
+  const CsrGraph& csr = g.csr;
+  const std::uint32_t n = csr.num_vertices();
+  const obs::Span span("checker.cyclic_verdict");
+  obs::Histogram& sizes = obs::histogram("scc.region_size");
+  CyclicVerdict out;
+  SccLabels& scc = out.scc;
+  // A rank is unvisited (index kUnvisited), on the Tarjan stack (indexed,
+  // component still kUnvisited), or popped (component holds its label).
+  scc.component.assign(n, kUnvisited);
+  scc.nontrivial.assign(n);
+  scc.self_loop.assign(n);
+  std::vector<std::uint32_t> index(n, kUnvisited), low(n, 0);
+  // reach[r] while r is on the stack: r steps into I or into a popped
+  // component that reaches I. Once r's component pops: that component's
+  // reach-I verdict, for every member.
+  PackedBitset reach = g.to_inv;
+  std::vector<std::uint32_t> stack;
+  struct Frame {
+    std::uint32_t rank;
+    std::uint64_t edge;  // next CSR edge to follow
+  };
+  std::vector<Frame> call;
+  std::uint32_t next_index = 0;
+  const auto open = [&](std::uint32_t r) {
+    index[r] = low[r] = next_index++;
+    stack.push_back(r);
+    call.push_back({r, csr.row[r]});
+  };
+  for (std::uint32_t root = 0; root < n; ++root) {
+    if (index[root] != kUnvisited) continue;
+    open(root);
+    while (!call.empty()) {
+      Frame& top = call.back();
+      const std::uint32_t v = top.rank;
+      if (top.edge < csr.row[v + 1]) {
+        const std::uint32_t w = csr.col[top.edge++];
+        if (index[w] == kUnvisited) {
+          open(w);
+        } else if (scc.component[w] == kUnvisited) {  // on the stack
+          low[v] = std::min(low[v], index[w]);
+          if (w == v) scc.self_loop.set(v);
+        } else if (reach.test(w)) {
+          reach.set(v);
+        }
+        continue;
+      }
+      call.pop_back();
+      if (low[v] == index[v]) {
+        // v roots a component: the stack from v upward. Every component it
+        // points to popped earlier, so its reach-I verdict is final here.
+        std::size_t base = stack.size();
+        std::uint32_t label = v;
+        bool reaches = false;
+        do {
+          label = std::min(label, stack[--base]);
+          reaches = reaches || reach.test(stack[base]);
+        } while (stack[base] != v);
+        const std::size_t size = stack.size() - base;
+        for (std::size_t i = base; i < stack.size(); ++i) {
+          scc.component[stack[i]] = label;
+          reach.set(stack[i], reaches);
+          if (size > 1) scc.nontrivial.set(stack[i]);
+        }
+        stack.resize(base);
+        ++scc.num_components;
+        out.reaches_invariant = out.reaches_invariant && reaches;
+        sizes.record(size);
+      }
+      if (!call.empty()) {
+        const std::uint32_t parent = call.back().rank;
+        low[parent] = std::min(low[parent], low[v]);
+        if (reach.test(v)) reach.set(parent);
+      }
+    }
+  }
+  return out;
+}
+
+std::vector<std::uint32_t> extract_component_cycle(const CsrGraph& g,
+                                                   const SccLabels& scc,
+                                                   std::uint32_t start) {
+  if (scc.self_loop.test(start)) return {start};
+  RINGSTAB_ASSERT(scc.nontrivial.test(start), "start is not on a cycle");
+  const std::uint32_t comp = scc.component[start];
+  std::unordered_map<std::uint32_t, std::uint32_t> parent;
+  std::vector<std::uint32_t> stack{start};
+  parent.emplace(start, start);
+  while (!stack.empty()) {
+    const std::uint32_t v = stack.back();
+    stack.pop_back();
+    for (std::uint64_t e = g.row[v]; e < g.row[v + 1]; ++e) {
+      const std::uint32_t w = g.col[e];
+      if (scc.component[w] != comp) continue;
+      if (w == start) {
+        std::vector<std::uint32_t> cyc{start};
+        for (std::uint32_t x = v; x != start; x = parent.at(x))
+          cyc.push_back(x);
+        std::reverse(cyc.begin() + 1, cyc.end());
+        return cyc;
+      }
+      if (!parent.emplace(w, v).second) continue;
+      stack.push_back(w);
+    }
+  }
+  RINGSTAB_ASSERT(false, "nontrivial SCC without a cycle through its root");
+  return {};
+}
+
 // ---------------------------------------------------------------------------
 // Public interface: each query runs the passes it needs, then a shared stage.
 // ---------------------------------------------------------------------------
@@ -361,8 +396,8 @@ std::optional<std::vector<GlobalStateId>> GlobalChecker::find_livelock()
     const {
   ensure_acyclic();
   if (acyclic_) return std::nullopt;
-  ensure_scc();
-  const auto ranks = livelock_witness(graph_, scc_);
+  ensure_cyclic();
+  const auto ranks = livelock_witness(graph_, cyclic_.scc);
   if (!ranks) return std::nullopt;
   std::vector<GlobalStateId> cycle;
   cycle.reserve(ranks->size());
@@ -373,10 +408,11 @@ std::optional<std::vector<GlobalStateId>> GlobalChecker::find_livelock()
 std::vector<GlobalStateId> GlobalChecker::livelock_states() const {
   ensure_acyclic();
   if (acyclic_) return {};
-  ensure_scc();
+  ensure_cyclic();
+  const SccLabels& scc = cyclic_.scc;
   std::vector<GlobalStateId> out;
-  for (std::uint64_t w = 0; w < scc_.nontrivial.num_words(); ++w) {
-    std::uint64_t word = scc_.nontrivial.word(w) | scc_.self_loop.word(w);
+  for (std::uint64_t w = 0; w < scc.nontrivial.num_words(); ++w) {
+    std::uint64_t word = scc.nontrivial.word(w) | scc.self_loop.word(w);
     while (word) {
       const std::uint64_t r =
           w * 64 + static_cast<std::uint64_t>(std::countr_zero(word));
@@ -397,7 +433,8 @@ bool GlobalChecker::check_closure(
 bool GlobalChecker::check_weak_convergence() const {
   ensure_acyclic();
   if (acyclic_) return acyclic_->reaches_invariant;
-  return all_reach_invariant(graph_, num_threads_);
+  ensure_cyclic();
+  return cyclic_.reaches_invariant;
 }
 
 std::size_t GlobalChecker::max_recovery_steps() const {

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "global/ring_instance.hpp"
-#include "graph/parallel_scc.hpp"
 #include "parallel/bitset.hpp"
 
 namespace ringstab {
@@ -40,6 +39,17 @@ struct GlobalCheckResult {
   std::size_t max_recovery_steps = 0;
 };
 
+/// Compact forward CSR over vertices [0, n): the out-edges of v are
+/// col[row[v]], …, col[row[v]+1]-1] in a caller-chosen deterministic order.
+struct CsrGraph {
+  std::vector<std::uint64_t> row;  // size n + 1; row[0] == 0
+  std::vector<std::uint32_t> col;
+
+  std::uint32_t num_vertices() const {
+    return row.empty() ? 0 : static_cast<std::uint32_t>(row.size() - 1);
+  }
+};
+
 /// The ¬I transition graph both checkers hand to the shared verdict stages
 /// below: a CSR over the ranks of the states outside I (rank order follows
 /// state order, so rank 0 is the smallest ¬I state), with edges into I
@@ -49,20 +59,6 @@ struct NotInvariantGraph {
   CsrGraph csr;
   PackedBitset to_inv;  // rank r has an edge into I
 };
-
-/// The ¬I SCC partition (FB/FWBW, graph/parallel_scc.hpp).
-ParallelSccResult livelock_scc(const NotInvariantGraph& g,
-                               std::size_t num_threads);
-
-/// The canonical livelock witness, as ranks: anchored at the smallest rank
-/// on any ¬I cycle, so it is identical at every thread count. nullopt when
-/// the ¬I graph is acyclic.
-std::optional<std::vector<std::uint32_t>> livelock_witness(
-    const NotInvariantGraph& g, const ParallelSccResult& scc);
-
-/// Every rank can reach I (weak convergence), by a tiled backward Jacobi
-/// fixpoint whose round count is thread-count-invariant.
-bool all_reach_invariant(const NotInvariantGraph& g, std::size_t num_threads);
 
 /// What one DFS settles about an acyclic ¬I graph.
 struct AcyclicVerdict {
@@ -80,6 +76,52 @@ struct AcyclicVerdict {
 /// `checker.acyclic_ranks`.
 std::optional<AcyclicVerdict> acyclic_verdict(const NotInvariantGraph& g);
 
+/// The canonical SCC partition. Unlike SccResult (graph/scc.hpp: Tarjan's
+/// reverse topological numbering), components are labeled by their
+/// smallest member, a pure function of the graph.
+struct SccLabels {
+  /// component[v] = smallest vertex id in v's SCC.
+  std::vector<std::uint32_t> component;
+  /// v's SCC has >= 2 vertices.
+  PackedBitset nontrivial;
+  /// v has an edge v -> v (a one-vertex cycle; its SCC is still {v}).
+  PackedBitset self_loop;
+  std::uint64_t num_components = 0;
+
+  /// v lies on some directed cycle.
+  bool on_cycle(std::uint32_t v) const {
+    return nontrivial.test(v) || self_loop.test(v);
+  }
+};
+
+/// What one Tarjan pass settles about a ¬I graph with a cycle.
+struct CyclicVerdict {
+  SccLabels scc;
+  /// Every rank reaches I (weak convergence).
+  bool reaches_invariant = true;
+};
+
+/// One serial iterative Tarjan over the CSR (explicit stack, roots in
+/// ascending rank order). As each component pops it is labeled by its
+/// smallest rank, its size goes to the `scc.region_size` histogram, and its
+/// reach-I bit is settled from `to_inv` and the components it points to,
+/// all of which popped before it.
+CyclicVerdict cyclic_verdict(const NotInvariantGraph& g);
+
+/// A deterministic simple cycle through `start`, restricted to start's SCC:
+/// {start} if start has a self-loop, else the first DFS path (CSR edge
+/// order) from start back to itself through component members. `start` must
+/// lie on a cycle.
+std::vector<std::uint32_t> extract_component_cycle(const CsrGraph& g,
+                                                   const SccLabels& scc,
+                                                   std::uint32_t start);
+
+/// The canonical livelock witness, as ranks: anchored at the smallest rank
+/// on any ¬I cycle, so it is identical at every thread count. nullopt when
+/// the ¬I graph is acyclic.
+std::optional<std::vector<std::uint32_t>> livelock_witness(
+    const NotInvariantGraph& g, const SccLabels& scc);
+
 /// Exhaustive checker over |D|^K global states.
 ///
 /// The engine decodes the state space exactly twice per full verdict.
@@ -89,17 +131,17 @@ std::optional<AcyclicVerdict> acyclic_verdict(const NotInvariantGraph& g);
 /// (popcount-indexed into the invariant mask). The shared verdict stages
 /// above then run on that CSR with no further decoding: acyclic_verdict
 /// decides an acyclic ¬I graph (Proposition 2.1: every strongly converging
-/// instance) outright; only a ¬I cycle runs the livelock SCC and the
-/// weak-convergence fixpoint, sweeping the packed bitsets in 64-byte tiles
-/// that skip settled words. check_symmetric runs them over necklace ranks.
+/// instance) outright; only a ¬I cycle runs cyclic_verdict, which settles
+/// the livelock set and weak convergence in one Tarjan pass.
+/// check_symmetric runs the same stages over necklace ranks.
 ///
 /// Verdicts, counts, samples, step bounds, and witness cycles are identical
-/// at every thread count: the acyclic pass is serial, per-chunk partials
-/// merge in ascending order over a thread-count-independent chunk
+/// at every thread count: both verdict passes are serial, per-chunk
+/// partials merge in ascending order over a thread-count-independent chunk
 /// partition, and the SCC labeling is canonical (smallest member). A serial
 /// brute-force reference checker in tests/ cross-validates every field.
 ///
-/// `num_threads > 1` runs the sweeps as chunked scans on the shared pool.
+/// `num_threads > 1` runs passes 1 and 2 as chunked scans on the shared pool.
 /// A checker instance caches its sweeps and is not safe for concurrent use.
 class GlobalChecker {
  public:
@@ -136,7 +178,7 @@ class GlobalChecker {
           nullptr) const;
 
   /// Every global state can reach I (weak convergence): read off the
-  /// acyclic pass, or by backward fixpoint when the ¬I graph has a cycle.
+  /// acyclic pass, or off the Tarjan pass when the ¬I graph has a cycle.
   bool check_weak_convergence() const;
 
   /// Longest path to I in the (acyclic, deadlock-free) ¬I subgraph.
@@ -151,7 +193,7 @@ class GlobalChecker {
   void ensure_masks() const;  // pass 1: invariant mask + deadlock census
   void ensure_graph() const;  // pass 2: closure + ¬I CSR + rank tables
   void ensure_acyclic() const;  // acyclic_verdict over the cached graph
-  void ensure_scc() const;    // livelock_scc over the cached graph
+  void ensure_cyclic() const;   // cyclic_verdict, only on a ¬I cycle
   std::uint32_t rank_of(GlobalStateId s) const;
 
   const RingInstance* ring_;
@@ -176,8 +218,8 @@ class GlobalChecker {
   mutable bool acyclic_done_ = false;
   mutable std::optional<AcyclicVerdict> acyclic_;  // nullopt: a ¬I cycle
 
-  mutable bool scc_done_ = false;
-  mutable ParallelSccResult scc_;
+  mutable bool cyclic_done_ = false;
+  mutable CyclicVerdict cyclic_;
 };
 
 /// Convenience: does p(K) strongly self-stabilize to I(K)?

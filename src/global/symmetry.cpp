@@ -5,7 +5,6 @@
 
 #include "core/fmt.hpp"
 #include "global/necklace.hpp"
-#include "graph/parallel_scc.hpp"
 #include "obs/obs.hpp"
 #include "parallel/thread_pool.hpp"
 
@@ -326,9 +325,9 @@ SymmetricCheckResult check_symmetric(const RingInstance& ring,
         res.strongly_converges() ? acyclic->recovery_steps : 0;
     return res;
   }
-  res.weakly_converges = all_reach_invariant(q.graph, num_threads);
-  const ParallelSccResult scc = livelock_scc(q.graph, num_threads);
-  if (const auto cycle = livelock_witness(q.graph, scc)) {
+  const CyclicVerdict cyclic = cyclic_verdict(q.graph);
+  res.weakly_converges = cyclic.reaches_invariant;
+  if (const auto cycle = livelock_witness(q.graph, cyclic.scc)) {
     res.has_livelock = true;
     res.livelock_cycle = lift_quotient_cycle(ring, q, *cycle);
   }

@@ -98,11 +98,11 @@ struct SymmetricCheckResult {
   }
 };
 
-/// `num_threads > 1` parallelizes the necklace enumeration, the
-/// quotient-graph build with its closure scan, and a cyclic quotient's SCC
-/// and fixpoint on the shared pool; all results — including the lifted
-/// livelock witness, which is anchored canonically — stay identical to the
-/// serial run at every thread count.
+/// `num_threads > 1` parallelizes the necklace enumeration and the
+/// quotient-graph build with its closure scan on the shared pool; the
+/// verdict passes over the quotient are serial. All results — including
+/// the lifted livelock witness, which is anchored canonically — stay
+/// identical to the serial run at every thread count.
 SymmetricCheckResult check_symmetric(const RingInstance& ring,
                                      std::size_t max_samples = 8,
                                      std::size_t num_threads = 1);

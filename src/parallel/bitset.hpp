@@ -1,7 +1,7 @@
 // Packed uint64 bitset shared by the serial and parallel global engines.
 //
 // std::vector<bool> is bit-packed too, but gives no access to the words
-// (needed to skip 64 states at a time in fixpoint sweeps), no popcount, and
+// (needed to skip 64 states at a time in rank scans), no popcount, and
 // no atomic writes. PackedBitset exposes all three; writers that cannot
 // guarantee word-private chunks use set_atomic() (relaxed fetch_or —
 // publication happens at the parallel region join, never through the bits).
@@ -90,15 +90,6 @@ class PackedBitset {
   void set_atomic(std::uint64_t i) {
     std::atomic_ref<std::uint64_t> w(words_[i >> 6]);
     w.fetch_or(std::uint64_t{1} << (i & 63), std::memory_order_relaxed);
-  }
-
-  /// Concurrent test-and-set: returns true iff this call flipped the bit
-  /// from 0 to 1 (exactly one of racing callers wins). Used by the parallel
-  /// BFS frontiers to deduplicate discovered vertices.
-  bool test_and_set_atomic(std::uint64_t i) {
-    std::atomic_ref<std::uint64_t> w(words_[i >> 6]);
-    const std::uint64_t bit = std::uint64_t{1} << (i & 63);
-    return (w.fetch_or(bit, std::memory_order_relaxed) & bit) == 0;
   }
 
   /// Number of set bits.

@@ -3,6 +3,7 @@
 // and bit-reproducibility of the estimate across thread counts.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 
 #include "helpers.hpp"
@@ -116,18 +117,31 @@ TEST(Herman, ExactExpectationAtK3) {
               1e-12);
 }
 
-TEST(Herman, MeanWithinBoundAtK7) {
-  EstimateOptions eo;
-  eo.target = ConvergenceTarget::kOneIllegit;
-  eo.start = StartKind::kThreeTokens;
-  eo.trajectories = 4000;
-  eo.seed = 9;
-  eo.num_threads = 0;  // all cores — result provably independent of this
-  const auto est =
-      estimate_convergence_rounds(protocols::herman_ring(), 7, eo);
-  EXPECT_EQ(est.censored, 0u);
-  const double bound = protocols::herman_conjecture_bound(7);
-  EXPECT_LE(est.mean_rounds, bound + 3.0 * est.ci95_half_width);
+// From three tokens with gaps a + b + c = K, the expected number of rounds
+// to one token is exactly 4abc/K (Bruna et al., "Proving the Herman-Protocol
+// Conjecture"). kThreeTokens puts the tokens at 0, ⌊K/3⌋ and ⌊2K/3⌋, and
+// the estimate must lie within 5 standard errors of that value on either
+// side. Since 4abc/K ≤ (4/27)K², this also bounds the mean by the
+// conjecture bound.
+TEST(Herman, MeanMatchesExactThreeTokenExpectation) {
+  for (const std::size_t k : {7, 9, 11}) {
+    EstimateOptions eo;
+    eo.target = ConvergenceTarget::kOneIllegit;
+    eo.start = StartKind::kThreeTokens;
+    eo.trajectories = 4000;
+    eo.seed = 9;
+    eo.num_threads = 0;  // all cores — result provably independent of this
+    const auto est =
+        estimate_convergence_rounds(protocols::herman_ring(), k, eo);
+    EXPECT_EQ(est.censored, 0u) << "K=" << k;
+    const std::size_t a = k / 3, b = 2 * k / 3 - k / 3, c = k - 2 * k / 3;
+    const double exact = 4.0 * static_cast<double>(a * b * c) /
+                         static_cast<double>(k);
+    EXPECT_LE(exact, protocols::herman_conjecture_bound(k)) << "K=" << k;
+    const double std_err =
+        est.stddev_rounds / std::sqrt(static_cast<double>(est.converged));
+    EXPECT_NEAR(est.mean_rounds, exact, 5.0 * std_err) << "K=" << k;
+  }
 }
 
 // ── bit-reproducibility across thread counts ──

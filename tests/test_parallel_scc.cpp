@@ -1,9 +1,10 @@
-// The FB/FWBW parallel SCC engine: canonical labels cross-validated against
-// the serial Tarjan on randomized digraphs, plus end-to-end livelock
-// agreement between the global engine (parallel SCC, at 1 and 4 threads)
-// and the serial reference checker over the protocol zoo. The checker's
-// acyclic pass is held to the same Tarjan, to the weak-convergence
-// fixpoint, and to a brute-force longest path on the same random graphs.
+// The checker's two serial verdict passes over a NotInvariantGraph, held to
+// independent oracles: cyclic_verdict's canonical labels and on-cycle bits
+// to the graph/scc.hpp Tarjan on randomized digraphs, both passes' reach
+// verdicts to a backward BFS, and acyclic_verdict's depth to a brute-force
+// longest path; plus end-to-end livelock agreement between the global
+// engine (at 1 and 4 threads) and the serial reference checker over the
+// protocol zoo.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,12 +14,13 @@
 #include "global/checker.hpp"
 #include "global/symmetry.hpp"
 #include "graph/digraph.hpp"
-#include "graph/parallel_scc.hpp"
 #include "graph/scc.hpp"
 #include "helpers.hpp"
 
 namespace ringstab {
 namespace {
+
+constexpr std::uint32_t kNone = 0xffffffffu;
 
 CsrGraph to_csr(const Digraph& g) {
   CsrGraph out;
@@ -30,20 +32,20 @@ CsrGraph to_csr(const Digraph& g) {
   return out;
 }
 
-/// Run parallel_scc at several thread counts and require all runs to agree
-/// with the canonicalized serial Tarjan on labels and cycle membership.
-void cross_validate(const Digraph& g) {
-  const CsrGraph csr = to_csr(g);
-  const SccResult serial = strongly_connected_components(g);
-  const auto canonical = canonical_scc_labels(serial.component);
-  for (const std::size_t threads : {1u, 2u, 4u}) {
-    const ParallelSccResult par = parallel_scc(csr, threads);
-    ASSERT_EQ(par.component, canonical) << threads << " threads";
-    ASSERT_EQ(par.num_components, serial.num_components) << threads;
-    for (VertexId v = 0; v < g.num_vertices(); ++v)
-      ASSERT_EQ(par.on_cycle(v), on_cycle(g, serial, v))
-          << "vertex " << v << " at " << threads << " threads";
-  }
+/// Relabel an arbitrary component-id vector (SccResult::component from the
+/// serial Tarjan) so component[v] = smallest vertex in v's component — the
+/// normal form cyclic_verdict emits.
+std::vector<std::uint32_t> canonical_scc_labels(
+    const std::vector<std::uint32_t>& component) {
+  std::uint32_t max_id = 0;
+  for (const std::uint32_t c : component) max_id = std::max(max_id, c);
+  std::vector<std::uint32_t> first(component.empty() ? 0 : max_id + 1, kNone);
+  for (std::uint32_t v = 0; v < component.size(); ++v)
+    if (first[component[v]] == kNone) first[component[v]] = v;
+  std::vector<std::uint32_t> out(component.size());
+  for (std::uint32_t v = 0; v < component.size(); ++v)
+    out[v] = first[component[v]];
+  return out;
 }
 
 /// `g` with random `to_inv` bits at a per-graph density. On about half the
@@ -58,6 +60,28 @@ NotInvariantGraph with_random_to_inv(const Digraph& g, std::mt19937& rng) {
     if (coin(rng) < share || (sinks_exit && g.out_degree(v) == 0))
       out.to_inv.set(v);
   return out;
+}
+
+/// Every vertex reaches I, by backward BFS from the vertices that step
+/// into I over the reversed arcs of `g`.
+bool bfs_all_reach_invariant(const Digraph& g, const PackedBitset& to_inv) {
+  std::vector<std::vector<VertexId>> pred(g.num_vertices());
+  for (VertexId v = 0; v < g.num_vertices(); ++v)
+    for (const VertexId w : g.out(v)) pred[w].push_back(v);
+  std::vector<bool> seen(g.num_vertices(), false);
+  std::vector<VertexId> queue;
+  for (VertexId v = 0; v < g.num_vertices(); ++v)
+    if (to_inv.test(v)) {
+      seen[v] = true;
+      queue.push_back(v);
+    }
+  for (std::size_t head = 0; head < queue.size(); ++head)
+    for (const VertexId u : pred[queue[head]])
+      if (!seen[u]) {
+        seen[u] = true;
+        queue.push_back(u);
+      }
+  return queue.size() == g.num_vertices();
 }
 
 /// Longest path into I by relaxation: on a DAG, |V| + 1 rounds of
@@ -76,50 +100,65 @@ std::size_t brute_force_depth(const Digraph& g, const PackedBitset& to_inv) {
   return d.empty() ? 0 : *std::max_element(d.begin(), d.end());
 }
 
-/// acyclic_verdict is nullopt exactly when Tarjan finds a vertex on a cycle
-/// (a self-loop included); when it finishes, its reach verdict equals the
-/// weak-convergence fixpoint at 1 and 4 lanes and its depth the brute-force
-/// longest path.
-void cross_validate_acyclic_pass(const Digraph& g, std::mt19937& rng) {
-  const NotInvariantGraph ni = with_random_to_inv(g, rng);
+/// cyclic_verdict's labels, component count and on-cycle bits must equal
+/// the canonicalized graph/scc.hpp Tarjan, and its reach verdict the
+/// backward BFS. acyclic_verdict must be nullopt exactly when that Tarjan
+/// finds a vertex on a cycle (a self-loop included); when it finishes, its
+/// reach verdict must equal the BFS and its depth the brute-force longest
+/// path.
+void cross_validate(const Digraph& g, const NotInvariantGraph& ni) {
   const SccResult serial = strongly_connected_components(g);
+  const bool reaches = bfs_all_reach_invariant(g, ni.to_inv);
+  const CyclicVerdict tarjan = cyclic_verdict(ni);
+  ASSERT_EQ(tarjan.scc.component, canonical_scc_labels(serial.component));
+  ASSERT_EQ(tarjan.scc.num_components, serial.num_components);
+  ASSERT_EQ(tarjan.reaches_invariant, reaches);
   bool cyclic = false;
-  for (VertexId v = 0; v < g.num_vertices(); ++v)
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    ASSERT_EQ(tarjan.scc.on_cycle(v), on_cycle(g, serial, v)) << "vertex " << v;
     cyclic = cyclic || on_cycle(g, serial, v);
+  }
   const auto pass = acyclic_verdict(ni);
   ASSERT_EQ(pass.has_value(), !cyclic) << g.num_vertices() << " vertices";
   if (!pass) return;
-  for (const std::size_t threads : {1u, 4u})
-    ASSERT_EQ(pass->reaches_invariant, all_reach_invariant(ni, threads))
-        << threads << " threads";
+  ASSERT_EQ(pass->reaches_invariant, reaches);
   ASSERT_EQ(pass->recovery_steps, brute_force_depth(g, ni.to_inv));
 }
 
+void cross_validate(const Digraph& g) {
+  cross_validate(g,
+                 NotInvariantGraph{to_csr(g), PackedBitset(g.num_vertices())});
+}
+
 TEST(ParallelScc, EmptyGraph) {
-  const CsrGraph g;  // zero vertices
-  const ParallelSccResult r = parallel_scc(g, 4);
-  EXPECT_EQ(r.num_components, 0u);
-  EXPECT_TRUE(r.component.empty());
+  const NotInvariantGraph g;  // zero ranks
+  const CyclicVerdict r = cyclic_verdict(g);
+  EXPECT_EQ(r.scc.num_components, 0u);
+  EXPECT_TRUE(r.scc.component.empty());
+  EXPECT_TRUE(r.reaches_invariant);
 }
 
 TEST(ParallelScc, SingletonAndSelfLoop) {
   Digraph g(2);
   g.add_arc(1, 1);
   cross_validate(g);
-  const ParallelSccResult r = parallel_scc(to_csr(g), 2);
+  const SccLabels r = cyclic_verdict({to_csr(g), PackedBitset(2)}).scc;
   EXPECT_FALSE(r.on_cycle(0));
   EXPECT_TRUE(r.on_cycle(1));
   EXPECT_TRUE(r.self_loop.test(1));
   EXPECT_FALSE(r.nontrivial.test(1));  // its SCC is still {1}
 }
 
-TEST(ParallelScc, ChainIsFullyTrimmed) {
+TEST(ParallelScc, ChainIsAllSingletons) {
   Digraph g(64);
   for (VertexId v = 0; v + 1 < 64; ++v) g.add_arc(v, v + 1);
   cross_validate(g);
-  const ParallelSccResult r = parallel_scc(to_csr(g), 4);
-  EXPECT_EQ(r.num_components, 64u);
-  for (VertexId v = 0; v < 64; ++v) EXPECT_FALSE(r.on_cycle(v));
+  NotInvariantGraph ni{to_csr(g), PackedBitset(64)};
+  ni.to_inv.set(63);  // the tail steps into I, so every rank reaches it
+  const CyclicVerdict r = cyclic_verdict(ni);
+  EXPECT_EQ(r.scc.num_components, 64u);
+  for (VertexId v = 0; v < 64; ++v) EXPECT_FALSE(r.scc.on_cycle(v));
+  EXPECT_TRUE(r.reaches_invariant);
 }
 
 TEST(ParallelScc, TwoCyclesAndABridge) {
@@ -133,12 +172,19 @@ TEST(ParallelScc, TwoCyclesAndABridge) {
   g.add_arc(6, 5);
   g.add_arc(3, 4);
   cross_validate(g);
-  const ParallelSccResult r = parallel_scc(to_csr(g), 2);
-  EXPECT_EQ(r.component[0], r.component[1]);
-  EXPECT_EQ(r.component[0], 0u);  // labeled by smallest member
-  EXPECT_EQ(r.component[5], 5u);
-  EXPECT_NE(r.component[0], r.component[5]);
-  const auto cyc = extract_component_cycle(to_csr(g), r, 0);
+  NotInvariantGraph ni{to_csr(g), PackedBitset(7)};
+  ni.to_inv.set(6);
+  ni.to_inv.set(4);
+  const CyclicVerdict r = cyclic_verdict(ni);
+  EXPECT_EQ(r.scc.component[0], r.scc.component[1]);
+  EXPECT_EQ(r.scc.component[0], 0u);  // labeled by smallest member
+  EXPECT_EQ(r.scc.component[5], 5u);
+  EXPECT_NE(r.scc.component[0], r.scc.component[5]);
+  // {0,1,2} reaches I only over the bridge into {5,6}, and 3 through 4.
+  EXPECT_TRUE(r.reaches_invariant);
+  ni.to_inv.reset(6);  // {5,6}, and with it {0,1,2}, lose their way into I
+  EXPECT_FALSE(cyclic_verdict(ni).reaches_invariant);
+  const auto cyc = extract_component_cycle(ni.csr, r.scc, 0);
   ASSERT_EQ(cyc.size(), 3u);
   EXPECT_EQ(cyc[0], 0u);
 }
@@ -155,11 +201,10 @@ TEST(ParallelScc, RandomDigraphsMatchSerialTarjan) {
     for (VertexId u = 0; u < n; ++u)
       for (VertexId v = 0; v < n; ++v)
         if (coin(rng) < p) g.add_arc(u, v);  // self-loops included
-    cross_validate(g);
-    cross_validate_acyclic_pass(g, dag_rng);
+    cross_validate(g, with_random_to_inv(g, dag_rng));
 
     // A random DAG of the same size and density: arcs only go up a random
-    // vertex order, so the pass's ascending roots meet them in any order.
+    // vertex order, so ascending roots meet them in any order.
     std::vector<VertexId> order(n);
     for (VertexId v = 0; v < n; ++v) order[v] = v;
     std::shuffle(order.begin(), order.end(), dag_rng);
@@ -167,8 +212,7 @@ TEST(ParallelScc, RandomDigraphsMatchSerialTarjan) {
     for (VertexId u = 0; u < n; ++u)
       for (VertexId v = 0; v < n; ++v)
         if (order[u] < order[v] && coin(dag_rng) < 2 * p) dag.add_arc(u, v);
-    cross_validate(dag);
-    cross_validate_acyclic_pass(dag, dag_rng);
+    cross_validate(dag, with_random_to_inv(dag, dag_rng));
   }
 }
 
@@ -180,16 +224,23 @@ TEST(AcyclicVerdict, SelfLoopIsACycle) {
   EXPECT_FALSE(acyclic_verdict(ni).has_value());
 }
 
-TEST(AcyclicVerdict, LongChainNeedsNoCallStack) {
-  // Rank r steps to r + 1 and the last rank into I: 2^20 frames deep, far
-  // past what a recursive DFS survives on a default thread stack.
-  const std::uint32_t n = 1u << 20;
+/// Rank r steps to r + 1 for every r < n - 1; `wrap` adds n - 1 -> 0.
+NotInvariantGraph long_path(std::uint32_t n, bool wrap) {
   NotInvariantGraph ni{CsrGraph{}, PackedBitset(n)};
   ni.csr.row.resize(n + 1);
-  for (std::uint32_t r = 0; r < n; ++r) ni.csr.row[r] = r;
-  ni.csr.row[n] = n - 1;
-  ni.csr.col.resize(n - 1);
-  for (std::uint32_t r = 0; r + 1 < n; ++r) ni.csr.col[r] = r + 1;
+  for (std::uint32_t r = 0; r <= n; ++r) ni.csr.row[r] = r;
+  if (!wrap) ni.csr.row[n] = n - 1;
+  ni.csr.col.resize(ni.csr.row[n]);
+  for (std::uint32_t r = 0; r < ni.csr.col.size(); ++r)
+    ni.csr.col[r] = (r + 1) % n;
+  return ni;
+}
+
+TEST(AcyclicVerdict, LongChainNeedsNoCallStack) {
+  // The last rank steps into I: 2^20 frames deep, far past what a
+  // recursive DFS survives on a default thread stack.
+  const std::uint32_t n = 1u << 20;
+  NotInvariantGraph ni = long_path(n, /*wrap=*/false);
   ni.to_inv.set(n - 1);
   const auto pass = acyclic_verdict(ni);
   ASSERT_TRUE(pass.has_value());
@@ -197,17 +248,35 @@ TEST(AcyclicVerdict, LongChainNeedsNoCallStack) {
   EXPECT_EQ(pass->recovery_steps, n);
 }
 
-TEST(ParallelScc, LargeRandomDigraphExercisesFbRecursion) {
-  // Avg out-degree 2 over 20k vertices leaves a giant SCC core after trim,
-  // well above the serial-Tarjan fallback threshold, so the FB/FWBW
-  // reachability path itself is what gets validated here.
+TEST(CyclicVerdict, LongCycleNeedsNoCallStack) {
+  // One 2^20-rank cycle: a single component, every rank labeled 0, that
+  // reaches I exactly when some rank steps into I.
+  const std::uint32_t n = 1u << 20;
+  NotInvariantGraph ni = long_path(n, /*wrap=*/true);
+  EXPECT_FALSE(acyclic_verdict(ni).has_value());
+  const CyclicVerdict closed = cyclic_verdict(ni);
+  EXPECT_EQ(closed.scc.num_components, 1u);
+  EXPECT_EQ(std::count(closed.scc.component.begin(),
+                       closed.scc.component.end(), 0u),
+            static_cast<std::ptrdiff_t>(n));
+  EXPECT_TRUE(closed.scc.nontrivial.all());
+  EXPECT_FALSE(closed.reaches_invariant);
+  ni.to_inv.set(n / 2);
+  EXPECT_TRUE(cyclic_verdict(ni).reaches_invariant);
+}
+
+TEST(ParallelScc, LargeRandomDigraphGiantScc) {
+  // Avg out-degree 2 over 20k vertices leaves one giant SCC plus a fringe
+  // of small components that lead into it; one vertex steps into I.
   std::mt19937 rng(7);
   const std::size_t n = 20000;
   Digraph g(n);
   for (VertexId u = 0; u < n; ++u)
     for (int e = 0; e < 2; ++e)
       g.add_arc(u, static_cast<VertexId>(rng() % n));
-  cross_validate(g);
+  NotInvariantGraph ni{to_csr(g), PackedBitset(n)};
+  ni.to_inv.set(rng() % n);
+  cross_validate(g, ni);
 }
 
 TEST(ParallelScc, WitnessCycleIsClosedAndInComponent) {
@@ -216,8 +285,9 @@ TEST(ParallelScc, WitnessCycleIsClosedAndInComponent) {
   Digraph g(n);
   for (VertexId u = 0; u < n; ++u)
     for (int e = 0; e < 3; ++e) g.add_arc(u, static_cast<VertexId>(rng() % n));
-  const CsrGraph csr = to_csr(g);
-  const ParallelSccResult r = parallel_scc(csr, 4);
+  const NotInvariantGraph ni{to_csr(g), PackedBitset(n)};
+  const CsrGraph& csr = ni.csr;
+  const SccLabels r = cyclic_verdict(ni).scc;
   for (VertexId v = 0; v < n; ++v) {
     if (!r.on_cycle(v)) continue;
     const auto cyc = extract_component_cycle(csr, r, v);
@@ -270,9 +340,9 @@ TEST(ParallelScc, GlobalEngineMatchesTarjanOverZoo) {
   }
 }
 
-/// The symmetry quotient's livelock pass rides the same parallel SCC
-/// engine; its lifted witness must be thread-count-invariant across the
-/// zoo and agree with the full-space engine on the verdict.
+/// The symmetry quotient's livelock pass rides the same Tarjan pass; its
+/// lifted witness must be thread-count-invariant across the zoo and agree
+/// with the full-space engine on the verdict.
 TEST(ParallelScc, SymmetryQuotientWitnessIsThreadInvariant) {
   for (const Protocol& p : testing::protocol_zoo()) {
     for (std::size_t k = 2; k <= 10; ++k) {

@@ -153,8 +153,9 @@ void expect_same_verdict(const RingInstance& ring, const Result& got,
     expect_witness_replays(ring, got.livelock_cycle, where);
 }
 
-void expect_engines_agree(const Protocol& p) {
-  for (std::size_t k = 2; k <= 7; ++k) {
+void expect_engines_agree(const Protocol& p, std::size_t k_min,
+                          std::size_t k_max) {
+  for (std::size_t k = k_min; k <= k_max; ++k) {
     const RingInstance ring(p, k);
     const testing::ReferenceResult ref = testing::reference_check(ring);
     const GlobalCheckResult& want = ref.verdict;
@@ -179,8 +180,8 @@ TEST_P(RandomProtocolTest, AllEnginesAgree) {
   testing::RandomProtocolOptions bidirectional;
   bidirectional.allow_bidirectional = true;
   for (int i = 0; i < 4; ++i) {
-    expect_engines_agree(testing::random_protocol(rng));
-    expect_engines_agree(testing::random_protocol(rng, bidirectional));
+    expect_engines_agree(testing::random_protocol(rng), 2, 7);
+    expect_engines_agree(testing::random_protocol(rng, bidirectional), 2, 7);
   }
 }
 
@@ -189,7 +190,7 @@ TEST_P(RandomProtocolTest, AllEnginesAgree) {
 TEST(DifferentialHarness, SymmetrySuiteProtocols) {
   std::mt19937_64 rng(2024);
   for (int i = 0; i < 12; ++i)
-    expect_engines_agree(testing::random_protocol(rng));
+    expect_engines_agree(testing::random_protocol(rng), 2, 7);
 }
 
 // Random protocols never fire inside I, so they keep I closed. Herman's
@@ -198,7 +199,33 @@ TEST(DifferentialHarness, SymmetrySuiteProtocols) {
 TEST(DifferentialHarness, HermanClosureViolations) {
   const Protocol p = protocols::herman_ring();
   EXPECT_FALSE(testing::reference_check(RingInstance(p, 4)).verdict.closure_ok);
-  expect_engines_agree(p);
+  expect_engines_agree(p, 2, 7);
+}
+
+// At K ≤ 7 every ¬I graph is tiny. These rounds run K=10..12, capped at
+// |D|^K ≤ 3^12 states: random uni- and bidirectional protocols, whose ¬I
+// graphs are mostly acyclic, and the single-action recolor ring, whose
+// cyclic ¬I graph at K=12 splits into 523,254 components, nearly all
+// singletons.
+TEST(DifferentialHarness, LargerRings) {
+  const auto agree = [](const Protocol& p) {
+    ASSERT_LE(p.domain().size(), 3u) << p.name() << ": over the 3^12 cap";
+    expect_engines_agree(p, 10, 12);
+  };
+  std::mt19937_64 rng(20261017);
+  testing::RandomProtocolOptions bidirectional;
+  bidirectional.allow_bidirectional = true;
+  for (int i = 0; i < 2; ++i) {
+    agree(testing::random_protocol(rng));
+    agree(testing::random_protocol(rng, bidirectional));
+  }
+  agree(build_protocol(parse_protocol_source(
+      "protocol recolor;\n"
+      "domain 3;\n"
+      "reads -1 .. 0;\n"
+      "legit: x[-1] != x[0];\n"
+      "action recolor: x[-1] == x[0] -> x[0] := (x[0] + 1) % 3;\n",
+      "recolor.ring")));
 }
 
 // The synthesizers' only candidate screen is the static rejection lane.

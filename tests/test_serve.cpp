@@ -189,6 +189,13 @@ TEST(ServeCacheKey, DistinctRequestsProduceDistinctKeys) {
     reqs.push_back(r);
   }
   {
+    // `lint --werror` turns warnings into exit 1: a key without it would
+    // serve a cached non-werror exit code.
+    Request r = base();
+    r.options.werror = true;
+    reqs.push_back(r);
+  }
+  {
     Request r = base();
     r.options.synth = true;
     reqs.push_back(r);
@@ -196,6 +203,13 @@ TEST(ServeCacheKey, DistinctRequestsProduceDistinctKeys) {
   {
     Request r = base();
     r.options.check_k = 6;
+    reqs.push_back(r);
+  }
+  {
+    // An analyze row with `sim_k` appends a Monte Carlo estimate at that
+    // ring size.
+    Request r = base();
+    r.options.sim_k = 7;
     reqs.push_back(r);
   }
   {
@@ -330,6 +344,11 @@ TEST(ServeCacheKey, SimulateCoordinatesAreIdentity) {
   {
     Request r = simulate_request();
     r.k = 9;
+    reqs.push_back(r);
+  }
+  {
+    Request r = simulate_request();
+    r.options.sim_k = 6;
     reqs.push_back(r);
   }
   std::set<std::string> keys;
