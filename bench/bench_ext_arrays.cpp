@@ -4,8 +4,7 @@
 // and the ring impossibilities (2-coloring!) dissolve.
 #include "bench_util.hpp"
 #include "core/fmt.hpp"
-#include "global/array_instance.hpp"
-#include "global/tree_instance.hpp"
+#include "global/checker.hpp"
 #include "local/array.hpp"
 #include "protocols/arrays.hpp"
 #include "synthesis/array_synthesizer.hpp"
@@ -33,7 +32,8 @@ void report() {
                    array_terminates_always(p) ? "yes" : "no"));
     std::string rows;
     for (std::size_t n = 2; n <= 9; ++n) {
-      const auto check = check_array(ArrayInstance(p, n));
+      const auto check =
+          GlobalChecker(RingInstance::array(p, n)).check_all();
       rows += cat("n=", n, ":",
                   (check.num_deadlocks_outside_i == 0 && !check.has_livelock)
                       ? "ok"
@@ -91,10 +91,13 @@ void report() {
     std::size_t good_clean = 0, bad_dead = 0;
     for (std::uint64_t seed = 1; seed <= 8; ++seed) {
       const auto shape = random_tree_shape(7, seed);
-      if (check_tree(TreeInstance(good, shape)).num_deadlocks_outside_i == 0)
-        ++good_clean;
-      if (check_tree(TreeInstance(bad, shape)).num_deadlocks_outside_i > 0)
-        ++bad_dead;
+      const auto deadlocks = [&](const Protocol& p) {
+        return GlobalChecker(RingInstance::tree(p, shape))
+            .check_all()
+            .num_deadlocks_outside_i;
+      };
+      if (deadlocks(good) == 0) ++good_clean;
+      if (deadlocks(bad) > 0) ++bad_dead;
     }
     bench::row("tree reduction (8 random 7-node in-trees)",
                "array certification transfers to every tree shape",
@@ -114,12 +117,15 @@ void BM_ArrayLocalAnalysis(benchmark::State& state) {
 }
 BENCHMARK(BM_ArrayLocalAnalysis);
 
+// The full verdict plus the whole-graph termination pass.
 void BM_ArrayExhaustiveCheck(benchmark::State& state) {
   const Protocol p = protocols::array_two_coloring();
-  const ArrayInstance inst(p, static_cast<std::size_t>(state.range(0)));
+  const RingInstance inst =
+      RingInstance::array(p, static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
-    const auto res = check_array(inst);
+    const auto res = GlobalChecker(inst).check_all();
     benchmark::DoNotOptimize(res.has_livelock);
+    benchmark::DoNotOptimize(terminates(inst));
   }
   state.SetComplexityN(static_cast<std::int64_t>(inst.num_states()));
 }

@@ -26,6 +26,7 @@
 #include "core/printer.hpp"
 #include "core/ring_writer.hpp"
 #include "global/cutoff.hpp"
+#include "global/ring_instance.hpp"
 #include "local/array.hpp"
 #include "report/report.hpp"
 #include "graph/dot.hpp"
@@ -50,6 +51,7 @@ int usage() {
       "             solution; --jobs N evaluates candidates on N lanes\n"
       "             (alias: synth)\n"
       "  check      exhaustive model check at one size: -k <K> [--jobs N]\n"
+      "             [--array]  an array of K processes instead of a ring\n"
       "             [--symmetry]  check the rotation quotient (necklace\n"
       "             enumeration; identical verdicts, ~K× fewer states)\n"
       "  sweep      cutoff verification: [--min K] [--max K]\n"
@@ -328,7 +330,10 @@ int run(const std::string& command, int argc, char** argv) {
   if (command == "check") {
     const auto k =
         static_cast<std::size_t>(arg_value(argc, argv, "-k", 5, 2, 63));
-    return serve::render_check(p, k, jobs, has_flag(argc, argv, "--symmetry"),
+    const RingInstance inst = has_flag(argc, argv, "--array")
+                                  ? RingInstance::array(p, k)
+                                  : RingInstance(p, k);
+    return serve::render_check(inst, jobs, has_flag(argc, argv, "--symmetry"),
                                std::cout);
   }
   if (command == "sweep") {

@@ -8,9 +8,7 @@
 #include <iostream>
 
 #include "core/printer.hpp"
-#include "global/array_instance.hpp"
 #include "global/checker.hpp"
-#include "global/tree_instance.hpp"
 #include "local/array.hpp"
 #include "protocols/arrays.hpp"
 #include "protocols/coloring.hpp"
@@ -46,7 +44,8 @@ int main() {
   std::cout << describe(solution);
   std::cout << "  exhaustive confirmation:";
   for (std::size_t n = 2; n <= 9; ++n) {
-    const auto check = check_array(ArrayInstance(solution, n));
+    const auto check =
+        GlobalChecker(RingInstance::array(solution, n)).check_all();
     std::cout << " n=" << n << ":"
               << (check.num_deadlocks_outside_i == 0 && !check.has_livelock
                       ? "ok"
@@ -60,10 +59,11 @@ int main() {
     const auto shape = random_tree_shape(8, seed);
     std::cout << "    shape [parents:";
     for (auto p : shape) std::cout << " " << p;
-    const auto check = check_tree(TreeInstance(solution, shape));
+    const RingInstance tree = RingInstance::tree(solution, shape);
+    const auto check = GlobalChecker(tree).check_all();
     std::cout << "]: deadlocks=" << check.num_deadlocks_outside_i
               << " livelock=" << (check.has_livelock ? "yes" : "no")
-              << " terminates=" << (check.terminates ? "yes" : "no") << "\n";
+              << " terminates=" << (terminates(tree) ? "yes" : "no") << "\n";
   }
   std::cout << "\nsame invariant, three topologies: the ring's cycle is the "
                "only obstruction.\n";

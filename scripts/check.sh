@@ -4,10 +4,12 @@
 #   scripts/check.sh            full: build, ctest, TSan test_parallel+test_obs
 #                               +test_parallel_scc+test_synthesis_parallel
 #                               +test_serve, ASan test_checker
-#                               +test_parallel_scc+test_symmetry + CLI
+#                               +test_parallel_scc+test_symmetry
+#                               +test_ring_instance+test_array+test_tree + CLI
 #                               parsing/synthesis/lint tests, UBSan
 #                               core/local/analysis test binaries
 #                               +test_checker+test_parallel_scc
+#                               +test_ring_instance+test_array+test_tree
 #   scripts/check.sh --fast     tier-1 only (skip the sanitizer builds)
 #   scripts/check.sh --tsan     TSan stage only (the CI tsan job's recipe)
 #
@@ -66,11 +68,12 @@ if [[ "$mode" == "--tsan" ]]; then
   exit 0
 fi
 
-echo "== ASan: build test_checker + test_parallel_scc + test_symmetry + CLI tools =="
+echo "== ASan: build test_checker + test_parallel_scc + test_symmetry + instance tests + CLI tools =="
 cmake -B "$repo/build-asan" -S "$repo" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DRINGSTAB_SANITIZE=address
 cmake --build "$repo/build-asan" -j "$jobs" \
-      --target test_checker test_parallel_scc test_symmetry ringstab_cli \
+      --target test_checker test_parallel_scc test_symmetry \
+               test_ring_instance test_array test_tree ringstab_cli \
                ringstab_batch
 
 echo "== ASan: run =="
@@ -80,24 +83,31 @@ echo "== ASan: run =="
 "$repo/build-asan/tests/test_checker"
 "$repo/build-asan/tests/test_parallel_scc"
 "$repo/build-asan/tests/test_symmetry"
+# Array and tree windows read the ⊥ slot, digit K of every K+1-long digit
+# buffer; these three drive it through every entry point and the checker.
+"$repo/build-asan/tests/test_ring_instance"
+"$repo/build-asan/tests/test_array"
+"$repo/build-asan/tests/test_tree"
 ctest --test-dir "$repo/build-asan" --output-on-failure -j "$jobs" \
       -R 'cli_(bad_k|negative_k|missing_flag_value|flag_value_flag|batch_missing_value|check_symmetry|batch_symmetry|bad_jobs|synth_alias|synthesize_jobs|synthesize_bad_jobs|batch_synth|lint|lint_json|lint_error|batch_lint)'
 
-echo "== UBSan: build core/local/analysis + checker test binaries =="
+echo "== UBSan: build core/local/analysis + checker + instance test binaries =="
 cmake -B "$repo/build-ubsan" -S "$repo" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DRINGSTAB_SANITIZE=undefined
 cmake --build "$repo/build-ubsan" -j "$jobs" \
       --target test_domain test_local_state test_protocol test_parser \
                test_deadlock test_livelock test_lint test_checker \
-               test_parallel_scc
+               test_parallel_scc test_ring_instance test_array test_tree
 
 echo "== UBSan: run =="
 # Recovery is disabled in the build, so any UB aborts the stage. The
 # checker's acyclic and Tarjan passes index rank arrays from explicit
-# stacks; test_checker and test_parallel_scc drive both.
+# stacks; test_checker and test_parallel_scc drive both. test_ring_instance,
+# test_array and test_tree drive the array and tree index tables, whose
+# out-of-range offsets read the ⊥ slot.
 for t in test_domain test_local_state test_protocol test_parser \
          test_deadlock test_livelock test_lint test_checker \
-         test_parallel_scc; do
+         test_parallel_scc test_ring_instance test_array test_tree; do
   "$repo/build-ubsan/tests/$t"
 done
 

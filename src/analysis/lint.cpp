@@ -8,7 +8,6 @@
 
 #include "analysis/absint.hpp"
 #include "core/fmt.hpp"
-#include "global/array_instance.hpp"
 #include "global/checker.hpp"
 #include "global/ring_instance.hpp"
 #include "graph/cycles.hpp"
@@ -318,25 +317,12 @@ void pass_rs030(const Protocol& p, Collector& c, const LintOptions& opts,
   // reporting an error.
   const std::size_t k = static_cast<std::size_t>(p.locality().window()) + 2;
   try {
-    bool violated = false;
-    if (opts.array_topology) {
-      const ArrayInstance inst(p, k, opts.closure_confirm_budget);
-      std::vector<ArrayInstance::Step> steps;
-      for (GlobalStateId s = 0; s < inst.num_states() && !violated; ++s) {
-        if (!inst.in_invariant(s)) continue;
-        inst.successors(s, steps);
-        for (const auto& st : steps)
-          if (!inst.in_invariant(st.target)) {
-            violated = true;
-            break;
-          }
-      }
-    } else {
-      const RingInstance ring(p, k, opts.closure_confirm_budget);
-      const GlobalChecker checker(ring);
-      violated = !checker.check_closure();
-    }
-    if (!violated) return;  // local suspicion not realizable
+    const RingInstance inst =
+        opts.array_topology
+            ? RingInstance::array(p, k, opts.closure_confirm_budget)
+            : RingInstance(p, k, opts.closure_confirm_budget);
+    if (GlobalChecker(inst).check_closure())
+      return;  // local suspicion not realizable
     Diagnostic d;
     d.code = "RS030";
     d.severity = Severity::kError;

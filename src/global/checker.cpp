@@ -468,4 +468,9 @@ bool strongly_stabilizing(const RingInstance& ring, std::size_t num_threads) {
   return !checker.find_livelock().has_value();
 }
 
+bool terminates(const RingInstance& inst, std::size_t num_threads) {
+  const RingInstance never_legit = inst.without_invariant();
+  return !GlobalChecker(never_legit, num_threads).find_livelock().has_value();
+}
+
 }  // namespace ringstab

@@ -122,7 +122,8 @@ std::vector<std::uint32_t> extract_component_cycle(const CsrGraph& g,
 std::optional<std::vector<std::uint32_t>> livelock_witness(
     const NotInvariantGraph& g, const SccLabels& scc);
 
-/// Exhaustive checker over |D|^K global states.
+/// Exhaustive checker over the global states of a ring, array or tree
+/// instance (|D|^K on a ring).
 ///
 /// The engine decodes the state space exactly twice per full verdict.
 /// Pass 1 classifies every state (invariant membership + deadlock census)
@@ -225,5 +226,10 @@ class GlobalChecker {
 /// Convenience: does p(K) strongly self-stabilize to I(K)?
 bool strongly_stabilizing(const RingInstance& ring,
                           std::size_t num_threads = 1);
+
+/// Every computation of `inst` is finite: its whole transition graph is
+/// acyclic. Checks inst.without_invariant(), where every state is outside
+/// I, so find_livelock() finds any cycle.
+bool terminates(const RingInstance& inst, std::size_t num_threads = 1);
 
 }  // namespace ringstab

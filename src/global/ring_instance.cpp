@@ -1,6 +1,9 @@
 #include "global/ring_instance.hpp"
 
+#include <random>
+
 #include "core/fmt.hpp"
+#include "local/array.hpp"
 
 namespace ringstab {
 namespace {
@@ -15,21 +18,21 @@ std::vector<Value>& scratch_digits() {
 
 }  // namespace
 
-RingInstance::RingInstance(Protocol protocol, std::size_t ring_size,
+RingInstance::RingInstance(Protocol protocol, std::size_t size, bool ring,
                            GlobalStateId max_states)
     : protocol_(std::move(protocol)),
-      k_(ring_size),
+      k_(size),
       d_(protocol_.domain().size()),
+      radix_(ring ? d_ : d_ - 1),
       window_(static_cast<std::size_t>(protocol_.locality().window())) {
-  if (k_ < 2) throw ModelError("ring size must be at least 2");
   GlobalStateId n = 1;
   pow_.reserve(k_);
   for (std::size_t i = 0; i < k_; ++i) {
     pow_.push_back(n);
-    if (n > max_states / d_)
-      throw CapacityError(cat("|D|^K = ", d_, "^", k_, " exceeds the state budget ",
-                              max_states));
-    n *= d_;
+    if (n > max_states / radix_)
+      throw CapacityError(cat(ring ? "|D|^K = " : "(|D|-1)^n = ", radix_, "^",
+                              k_, " exceeds the state budget ", max_states));
+    n *= radix_;
   }
   num_states_ = n;
 
@@ -40,11 +43,22 @@ RingInstance::RingInstance(Protocol protocol, std::size_t ring_size,
     lp *= static_cast<LocalStateId>(d_);
   }
 
-  // widx_[i*window + p] = ring index of window offset (p - left) at
-  // process i, with full wraparound (windows wider than the ring wrap more
-  // than once).
-  const auto& loc = protocol_.locality();
   widx_.resize(k_ * window_);
+  local_flags_.resize(protocol_.num_states());
+  for (LocalStateId ls = 0; ls < local_flags_.size(); ++ls)
+    local_flags_[ls] =
+        static_cast<std::uint8_t>((protocol_.is_legit(ls) ? kLegit : 0) |
+                                  (protocol_.is_enabled(ls) ? kEnabled : 0));
+}
+
+RingInstance::RingInstance(Protocol protocol, std::size_t ring_size,
+                           GlobalStateId max_states)
+    : RingInstance(std::move(protocol), ring_size, /*ring=*/true,
+                   max_states) {
+  if (k_ < 2) throw ModelError("ring size must be at least 2");
+  // Offset p - left of process i, with full wraparound (windows wider than
+  // the ring wrap more than once).
+  const auto& loc = protocol_.locality();
   for (std::size_t i = 0; i < k_; ++i) {
     for (std::size_t p = 0; p < window_; ++p) {
       const long long off = static_cast<long long>(p) - loc.left;
@@ -54,45 +68,87 @@ RingInstance::RingInstance(Protocol protocol, std::size_t ring_size,
       widx_[i * window_ + p] = static_cast<std::uint32_t>(j);
     }
   }
+}
 
-  local_flags_.resize(protocol_.num_states());
-  for (LocalStateId ls = 0; ls < local_flags_.size(); ++ls)
-    local_flags_[ls] =
-        static_cast<std::uint8_t>((protocol_.is_legit(ls) ? kLegit : 0) |
-                                  (protocol_.is_enabled(ls) ? kEnabled : 0));
+RingInstance RingInstance::array(Protocol protocol, std::size_t length,
+                                 GlobalStateId max_states) {
+  validate_array_protocol(protocol);
+  if (length < 2) throw ModelError("array length must be at least 2");
+  RingInstance inst(std::move(protocol), length, /*ring=*/false, max_states);
+  const long long n = static_cast<long long>(length);
+  const auto& loc = inst.protocol_.locality();
+  for (std::size_t i = 0; i < length; ++i) {
+    for (std::size_t p = 0; p < inst.window_; ++p) {
+      const long long j = static_cast<long long>(i + p) - loc.left;
+      inst.widx_[i * inst.window_ + p] =
+          static_cast<std::uint32_t>(j < 0 || j >= n ? length : j);
+    }
+  }
+  return inst;
+}
+
+RingInstance RingInstance::tree(Protocol protocol,
+                                const std::vector<std::size_t>& parents,
+                                GlobalStateId max_states) {
+  validate_array_protocol(protocol);
+  if (protocol.locality() != Locality{1, 0})
+    throw ModelError(
+        "tree instances require a parent-read locality (reads -1 .. 0)");
+  const std::size_t n = parents.size() + 1;
+  if (n < 2) throw ModelError("tree must have at least 2 nodes");
+  for (std::size_t i = 1; i < n; ++i)
+    if (parents[i - 1] >= i)
+      throw ModelError("tree parents must satisfy parent(i) < i");
+  RingInstance inst(std::move(protocol), n, /*ring=*/false, max_states);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t parent = i == 0 ? n : parents[i - 1];
+    inst.widx_[2 * i] = static_cast<std::uint32_t>(parent);
+    inst.widx_[2 * i + 1] = static_cast<std::uint32_t>(i);
+  }
+  return inst;
+}
+
+RingInstance RingInstance::without_invariant() const {
+  RingInstance out = *this;
+  out.protocol_ = Protocol(protocol_.name(), protocol_.space(),
+                           protocol_.delta(),
+                           std::vector<bool>(protocol_.num_states(), false));
+  for (std::uint8_t& f : out.local_flags_)
+    f = static_cast<std::uint8_t>(f & ~kLegit);
+  return out;
 }
 
 std::vector<Value> RingInstance::decode(GlobalStateId s) const {
   std::vector<Value> out;
   decode_into(s, out);
+  out.pop_back();  // the ⊥ slot
   return out;
 }
 
 void RingInstance::decode_into(GlobalStateId s,
                                std::vector<Value>& digits) const {
-  digits.resize(k_);
+  digits.resize(k_ + 1);
   for (std::size_t i = 0; i < k_; ++i) {
-    digits[i] = static_cast<Value>(s % d_);
-    s /= d_;
+    digits[i] = static_cast<Value>(s % radix_);
+    s /= radix_;
   }
+  digits[k_] = static_cast<Value>(d_ - 1);
 }
 
-GlobalStateId RingInstance::encode(std::span<const Value> ring) const {
-  RINGSTAB_ASSERT(ring.size() == k_, "ring valuation has wrong size");
+GlobalStateId RingInstance::encode(std::span<const Value> values) const {
+  RINGSTAB_ASSERT(values.size() == k_, "valuation has wrong size");
   GlobalStateId s = 0;
   for (std::size_t i = 0; i < k_; ++i) {
-    RINGSTAB_ASSERT(ring[i] < d_, "value out of domain");
-    s += pow_[i] * ring[i];
+    RINGSTAB_ASSERT(values[i] < radix_, "value out of domain");
+    s += pow_[i] * values[i];
   }
   return s;
 }
 
 LocalStateId RingInstance::local_state(GlobalStateId s, std::size_t i) const {
-  const std::uint32_t* idx = widx_.data() + i * window_;
-  LocalStateId ls = 0;
-  for (std::size_t p = 0; p < window_; ++p)
-    ls += static_cast<LocalStateId>(value(s, idx[p])) * lpow_[p];
-  return ls;
+  auto& digits = scratch_digits();
+  decode_into(s, digits);
+  return local_state_from(digits.data(), i);
 }
 
 bool RingInstance::in_invariant(GlobalStateId s) const {
@@ -188,6 +244,16 @@ Schedule schedule_from_path(const RingInstance& ring,
     if (!found) throw bad_step();
   }
   return sched;
+}
+
+std::vector<std::size_t> random_tree_shape(std::size_t n,
+                                           std::uint64_t seed) {
+  RINGSTAB_ASSERT(n >= 2, "tree must have at least 2 nodes");
+  std::mt19937_64 rng(seed);
+  std::vector<std::size_t> parent(n - 1);
+  for (std::size_t i = 1; i < n; ++i)
+    parent[i - 1] = rng() % i;
+  return parent;
 }
 
 }  // namespace ringstab

@@ -38,6 +38,10 @@ struct CensusBuild {
 /// ascending slot order.
 CensusBuild run_census(const RingInstance& ring, std::size_t max_samples,
                        std::size_t num_threads, bool collect) {
+  if (!ring.is_ring())
+    throw ModelError(
+        "the rotation quotient needs a ring: arrays and trees have no "
+        "rotation symmetry");
   const obs::Span span("symmetry.necklace_census");
   const NecklaceEnumerator enumerator(ring.ring_size(), ring.domain_size());
   const std::uint64_t slots = enumerator.num_slots();

@@ -57,7 +57,7 @@ struct NecklaceCensus {
 /// `num_threads > 1` partitions the necklace prefix space over the shared
 /// pool; per-chunk partials merge in ascending slot order, so counts and
 /// representatives are identical to the serial enumeration for every
-/// thread count.
+/// thread count. Throws ModelError unless `ring.is_ring()`.
 NecklaceCensus necklace_census(const RingInstance& ring,
                                std::size_t max_samples = 8,
                                std::size_t num_threads = 1);
@@ -102,7 +102,8 @@ struct SymmetricCheckResult {
 /// quotient-graph build with its closure scan on the shared pool; the
 /// verdict passes over the quotient are serial. All results — including
 /// the lifted livelock witness, which is anchored canonically — stay
-/// identical to the serial run at every thread count.
+/// identical to the serial run at every thread count. Throws ModelError
+/// unless `ring.is_ring()`.
 SymmetricCheckResult check_symmetric(const RingInstance& ring,
                                      std::size_t max_samples = 8,
                                      std::size_t num_threads = 1);

@@ -6,7 +6,6 @@
 #include "analysis/lint.hpp"
 #include "core/fmt.hpp"
 #include "core/printer.hpp"
-#include "global/array_instance.hpp"
 #include "global/checker.hpp"
 #include "global/cutoff.hpp"
 #include "global/symmetry.hpp"
@@ -167,12 +166,12 @@ void array_report(const Protocol& p, const ReportOptions& opt,
           "|\n|---|---|---|---|---|\n";
     for (std::size_t n = opt.min_ring; n <= opt.max_ring; ++n) {
       try {
-        const ArrayInstance inst(p, n, opt.max_states);
-        const auto check = check_array(inst);
+        const RingInstance inst = RingInstance::array(p, n, opt.max_states);
+        const auto check = GlobalChecker(inst, opt.num_threads).check_all();
         os << "| " << n << " | " << inst.num_states() << " | "
            << check.num_deadlocks_outside_i << " | "
            << (check.has_livelock ? "yes" : "no") << " | "
-           << (check.terminates ? "yes" : "no") << " |\n";
+           << (terminates(inst, opt.num_threads) ? "yes" : "no") << " |\n";
       } catch (const CapacityError&) {
         os << "| " << n << " | over budget | — | — | — |\n";
       }

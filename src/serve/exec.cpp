@@ -19,9 +19,10 @@
 
 namespace ringstab::serve {
 
-int render_check(const Protocol& p, std::size_t k, std::size_t jobs,
-                 bool symmetry, std::ostream& out) {
-  const RingInstance ring(p, k);
+int render_check(const RingInstance& ring, std::size_t jobs, bool symmetry,
+                 std::ostream& out) {
+  const Protocol& p = ring.protocol();
+  const std::size_t k = ring.ring_size();
   // The two engines produce identical verdicts; only the header differs.
   bool closure_ok, has_livelock, weakly, strongly;
   std::uint64_t deadlocks_outside_i;
@@ -391,7 +392,7 @@ ExecResult execute(const Request& req,
                            "': expected an integer in [2, 63]");
         const Protocol p =
             build_protocol(parse_protocol_source(req.source, req.name));
-        res.exit_code = render_check(p, req.k, req.options.jobs,
+        res.exit_code = render_check(RingInstance(p, req.k), req.options.jobs,
                                      req.options.symmetry, out);
         break;
       }

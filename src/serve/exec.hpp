@@ -20,6 +20,7 @@
 
 #include "analysis/lint.hpp"
 #include "core/protocol.hpp"
+#include "global/ring_instance.hpp"
 #include "serve/cache.hpp"
 #include "synthesis/portfolio.hpp"
 
@@ -61,9 +62,10 @@ struct Request {
 
 // ── shared command renderers (the single source of the output bytes) ──
 
-/// `ringstab check <file> -k K [--jobs N] [--symmetry]`.
-int render_check(const Protocol& p, std::size_t k, std::size_t jobs,
-                 bool symmetry, std::ostream& out);
+/// `ringstab check <file> -k K [--jobs N] [--symmetry] [--array]` on a ring
+/// or an array instance; the quotient throws ModelError on an array.
+int render_check(const RingInstance& ring, std::size_t jobs, bool symmetry,
+                 std::ostream& out);
 
 /// `ringstab synthesize <file> [--all] [--jobs N]` (ring topology).
 int render_synthesize(const Protocol& p, bool all, std::size_t jobs,

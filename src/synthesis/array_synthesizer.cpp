@@ -5,7 +5,7 @@
 
 #include "core/fmt.hpp"
 #include "core/printer.hpp"
-#include "global/array_instance.hpp"
+#include "global/checker.hpp"
 #include "local/array.hpp"
 #include "local/rcg.hpp"
 #include "local/self_disabling.hpp"
@@ -120,19 +120,12 @@ ArraySynthesisResult synthesize_array_convergence(
   if (!is_self_disabling(p))
     throw ModelError("array synthesis requires a self-disabling input");
 
-  if (options.closure_check_length >= 2) {
-    const ArrayInstance inst(p, options.closure_check_length);
-    std::vector<ArrayInstance::Step> succ;
-    for (GlobalStateId s = 0; s < inst.num_states(); ++s) {
-      if (!inst.in_invariant(s)) continue;
-      inst.successors(s, succ);
-      for (const auto& step : succ)
-        if (!inst.in_invariant(step.target))
-          throw ModelError(cat("input invariant is not closed (witnessed at "
-                               "array length ",
-                               options.closure_check_length, ")"));
-    }
-  }
+  if (options.closure_check_length >= 2 &&
+      !GlobalChecker(RingInstance::array(p, options.closure_check_length))
+           .check_closure())
+    throw ModelError(cat("input invariant is not closed (witnessed at array "
+                         "length ",
+                         options.closure_check_length, ")"));
 
   ArraySynthesisResult res;
   obs::Counter& generated = obs::counter("synth.candidates_generated");

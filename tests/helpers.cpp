@@ -90,6 +90,43 @@ Protocol random_protocol(std::mt19937_64& rng,
                   std::move(legit));
 }
 
+Protocol random_array_protocol(std::mt19937_64& rng,
+                               const RandomArrayOptions& opts) {
+  const std::size_t real = 2 + rng() % 2;  // 2..3 real values
+  std::vector<std::string> names;
+  for (std::size_t i = 0; i < real; ++i) names.push_back(std::to_string(i));
+  names.push_back("B");
+  const LocalStateSpace space(Domain::named(names),
+                              opts.bidirectional ? Locality{1, 1}
+                                                 : Locality{1, 0});
+  const Value bot = static_cast<Value>(real);
+
+  std::vector<bool> legit(space.size());
+  for (LocalStateId s = 0; s < space.size(); ++s) legit[s] = rng() & 1;
+
+  std::vector<LocalTransition> delta;
+  std::bernoulli_distribution fire(0.35);
+  for (LocalStateId s = 0; s < space.size(); ++s) {
+    if (space.self(s) == bot) continue;
+    if (legit[s] || !fire(rng)) continue;
+    Value v = static_cast<Value>(rng() % real);
+    if (v == space.self(s)) v = static_cast<Value>((v + 1) % real);
+    delta.push_back({s, space.with_self(s, v)});
+  }
+  if (opts.self_disabling) {
+    std::vector<bool> is_source(space.size(), false);
+    for (const auto& t : delta) is_source[t.from] = true;
+    delta.erase(std::remove_if(delta.begin(), delta.end(),
+                               [&](const LocalTransition& t) {
+                                 return is_source[t.to];
+                               }),
+                delta.end());
+  }
+  static int counter = 0;
+  return Protocol("rand_array" + std::to_string(counter++), space,
+                  std::move(delta), std::move(legit));
+}
+
 bool global_has_deadlock(const Protocol& p, std::size_t k) {
   const RingInstance ring(p, k);
   return GlobalChecker(ring).count_deadlocks_outside_invariant() > 0;

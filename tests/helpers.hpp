@@ -28,6 +28,18 @@ struct RandomProtocolOptions {
 Protocol random_protocol(std::mt19937_64& rng,
                          const RandomProtocolOptions& opts = {});
 
+/// Deterministic random array-convention protocols (the domain's last value
+/// is ⊥, local/array.hpp): 2..3 real values, a random legitimacy mask, and
+/// transitions only from illegitimate states with a real self value, so I
+/// stays closed.
+struct RandomArrayOptions {
+  bool bidirectional = false;  // reads -1 .. 1 instead of -1 .. 0
+  bool self_disabling = true;  // drop every transition whose target fires
+};
+
+Protocol random_array_protocol(std::mt19937_64& rng,
+                               const RandomArrayOptions& opts = {});
+
 /// True iff p(K) has a global deadlock outside I.
 bool global_has_deadlock(const Protocol& p, std::size_t k);
 

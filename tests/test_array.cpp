@@ -7,47 +7,12 @@
 #include <random>
 
 #include "core/builder.hpp"
-#include "global/array_instance.hpp"
+#include "global/checker.hpp"
 #include "helpers.hpp"
 #include "protocols/arrays.hpp"
 
 namespace ringstab {
 namespace {
-
-// Random array protocols: transitions fire only from states whose self is a
-// real value, keeping the modeling convention.
-Protocol random_array_protocol(std::mt19937_64& rng) {
-  const std::size_t real = 2 + rng() % 2;  // 2..3 real values
-  std::vector<std::string> names;
-  for (std::size_t i = 0; i < real; ++i) names.push_back(std::to_string(i));
-  names.push_back("B");
-  const LocalStateSpace space(Domain::named(names), {1, 0});
-  const Value bot = static_cast<Value>(real);
-
-  std::vector<bool> legit(space.size());
-  for (LocalStateId s = 0; s < space.size(); ++s) legit[s] = rng() & 1;
-
-  std::vector<LocalTransition> delta;
-  std::bernoulli_distribution fire(0.35);
-  for (LocalStateId s = 0; s < space.size(); ++s) {
-    if (space.self(s) == bot) continue;
-    if (legit[s] || !fire(rng)) continue;
-    Value v = static_cast<Value>(rng() % real);
-    if (v == space.self(s)) v = static_cast<Value>((v + 1) % real);
-    delta.push_back({s, space.with_self(s, v)});
-  }
-  // Self-disabling: drop transitions whose target fires.
-  std::vector<bool> is_source(space.size(), false);
-  for (const auto& t : delta) is_source[t.from] = true;
-  delta.erase(std::remove_if(delta.begin(), delta.end(),
-                             [&](const LocalTransition& t) {
-                               return is_source[t.to];
-                             }),
-              delta.end());
-  static int counter = 0;
-  return Protocol("rand_array" + std::to_string(counter++), space,
-                  std::move(delta), std::move(legit));
-}
 
 TEST(Array, ValidationRejectsBoundaryWrites) {
   const LocalStateSpace space(Domain::named({"0", "1", "B"}), {1, 0});
@@ -75,10 +40,10 @@ TEST(Array, AgreementIsDeadlockFreeForAllLengths) {
   EXPECT_TRUE(res.deadlock_free_all_n);
   EXPECT_TRUE(array_terminates_always(p));
   for (std::size_t n = 2; n <= 8; ++n) {
-    const ArrayInstance inst(p, n);
-    const auto check = check_array(inst);
+    const RingInstance inst = RingInstance::array(p, n);
+    const auto check = GlobalChecker(inst).check_all();
     EXPECT_EQ(check.num_deadlocks_outside_i, 0u) << n;
-    EXPECT_TRUE(check.terminates) << n;
+    EXPECT_TRUE(terminates(inst)) << n;
   }
 }
 
@@ -90,10 +55,11 @@ TEST(Array, TwoColoringConvergesOnArrays) {
   EXPECT_TRUE(res.deadlock_free_all_n);
   EXPECT_TRUE(array_terminates_always(p));
   for (std::size_t n = 2; n <= 9; ++n) {
-    const auto check = check_array(ArrayInstance(p, n));
+    const RingInstance inst = RingInstance::array(p, n);
+    const auto check = GlobalChecker(inst).check_all();
     EXPECT_EQ(check.num_deadlocks_outside_i, 0u) << n;
     EXPECT_FALSE(check.has_livelock) << n;
-    EXPECT_TRUE(check.terminates) << n;
+    EXPECT_TRUE(terminates(inst)) << n;
   }
 }
 
@@ -105,7 +71,7 @@ TEST(Array, BrokenTwoColoringDeadlocksEverywhere) {
     EXPECT_TRUE(res.size_spectrum[n]) << n;
     const auto witness = array_deadlock_witness(p, n);
     ASSERT_TRUE(witness.has_value()) << n;
-    const ArrayInstance inst(p, n);
+    const RingInstance inst = RingInstance::array(p, n);
     const GlobalStateId s = inst.encode(*witness);
     EXPECT_TRUE(inst.is_deadlock(s)) << n;
     EXPECT_FALSE(inst.in_invariant(s)) << n;
@@ -115,9 +81,9 @@ TEST(Array, BrokenTwoColoringDeadlocksEverywhere) {
 TEST(Array, SortConvergesAndSorts) {
   const Protocol p = protocols::array_sort(3);
   EXPECT_TRUE(analyze_array_deadlocks(p, 12).deadlock_free_all_n);
-  const ArrayInstance inst(p, 5);
+  const RingInstance inst = RingInstance::array(p, 5);
   // Exhaustive: every deadlock state is sorted (non-decreasing).
-  std::vector<ArrayInstance::Step> succ;
+  std::vector<RingInstance::Step> succ;
   for (GlobalStateId s = 0; s < inst.num_states(); ++s) {
     inst.successors(s, succ);
     if (!succ.empty()) continue;
@@ -134,10 +100,11 @@ class RandomArrayTest : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(RandomArrayTest, SpectrumMatchesExhaustiveChecking) {
   std::mt19937_64 rng(GetParam());
   for (int i = 0; i < 10; ++i) {
-    const Protocol p = random_array_protocol(rng);
+    const Protocol p = testing::random_array_protocol(rng);
     const auto res = analyze_array_deadlocks(p, 8);
     for (std::size_t n = 2; n <= 8; ++n) {
-      const auto check = check_array(ArrayInstance(p, n));
+      const auto check =
+          GlobalChecker(RingInstance::array(p, n)).check_all();
       EXPECT_EQ(res.size_spectrum[n], check.num_deadlocks_outside_i > 0)
           << p.name() << " n=" << n;
     }
@@ -147,12 +114,13 @@ TEST_P(RandomArrayTest, SpectrumMatchesExhaustiveChecking) {
 TEST_P(RandomArrayTest, UnidirectionalSelfDisablingArraysTerminate) {
   std::mt19937_64 rng(GetParam() ^ 0xabcdull);
   for (int i = 0; i < 10; ++i) {
-    const Protocol p = random_array_protocol(rng);
+    const Protocol p = testing::random_array_protocol(rng);
     ASSERT_TRUE(array_terminates_always(p));
     for (std::size_t n = 2; n <= 7; ++n) {
-      const auto check = check_array(ArrayInstance(p, n));
-      EXPECT_TRUE(check.terminates) << p.name() << " n=" << n;
-      EXPECT_FALSE(check.has_livelock) << p.name() << " n=" << n;
+      const RingInstance inst = RingInstance::array(p, n);
+      EXPECT_TRUE(terminates(inst)) << p.name() << " n=" << n;
+      EXPECT_FALSE(GlobalChecker(inst).check_all().has_livelock)
+          << p.name() << " n=" << n;
     }
   }
 }
@@ -166,7 +134,8 @@ TEST(Array, WitnessForCleanProtocolIsEmpty) {
 }
 
 TEST(Array, InstanceRejectsTinyLengths) {
-  EXPECT_THROW(ArrayInstance(protocols::array_agreement(2), 1), ModelError);
+  EXPECT_THROW(RingInstance::array(protocols::array_agreement(2), 1),
+               ModelError);
 }
 
 }  // namespace

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/builder.hpp"
-#include "global/array_instance.hpp"
+#include "global/checker.hpp"
 #include "helpers.hpp"
 #include "protocols/arrays.hpp"
 
@@ -50,11 +50,12 @@ TEST(ArraySynthesis, SolutionsVerifyExhaustively) {
     ASSERT_TRUE(res.success) << base.name();
     for (const auto& sol : res.solutions) {
       for (std::size_t n = 2; n <= 7; ++n) {
-        const auto check = check_array(ArrayInstance(sol.protocol, n));
+        const RingInstance inst = RingInstance::array(sol.protocol, n);
+        const auto check = GlobalChecker(inst).check_all();
         EXPECT_EQ(check.num_deadlocks_outside_i, 0u)
             << base.name() << " n=" << n;
         EXPECT_FALSE(check.has_livelock) << base.name() << " n=" << n;
-        EXPECT_TRUE(check.terminates) << base.name() << " n=" << n;
+        EXPECT_TRUE(terminates(inst)) << base.name() << " n=" << n;
       }
     }
   }

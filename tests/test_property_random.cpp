@@ -1,7 +1,8 @@
 // Property-based cross-validation on randomly generated protocols: the
 // local theorems vs. exhaustive global model checking, the global engines
-// vs. each other and the serial reference checker, and the synthesizers'
-// static candidate screen vs. the concrete lint and trail passes.
+// vs. each other and the serial reference checker on rings, arrays and
+// trees, and the synthesizers' static candidate screen vs. the concrete
+// lint and trail passes.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -123,9 +124,10 @@ TEST_P(RandomProtocolTest, BidirectionalDeadlockSpectrumMatchesGlobal) {
   }
 }
 
-// Differential harness: the global checker and the rotation quotient, each
-// at 1 and 4 threads, must return the serial reference checker's verdict,
-// and every livelock witness must replay as a cyclic computation outside I.
+// Differential harness: the global checker at 1 and 4 threads, and on a
+// ring the rotation quotient, must return the serial reference checker's
+// verdict, and every livelock witness must replay as a cyclic computation
+// outside I.
 void expect_witness_replays(const RingInstance& ring,
                             const std::vector<GlobalStateId>& cycle,
                             const std::string& where) {
@@ -153,26 +155,36 @@ void expect_same_verdict(const RingInstance& ring, const Result& got,
     expect_witness_replays(ring, got.livelock_cycle, where);
 }
 
+/// Every engine on one instance of any topology; returns the reference
+/// verdict. Arrays and trees have no rotation quotient, so there
+/// check_symmetric must refuse.
+GlobalCheckResult expect_instance_agrees(const RingInstance& inst,
+                                         const std::string& where) {
+  const testing::ReferenceResult ref = testing::reference_check(inst);
+  const GlobalCheckResult& want = ref.verdict;
+  if (want.has_livelock)
+    expect_witness_replays(inst, want.livelock_cycle, where + " reference");
+  for (const std::size_t threads : {1u, 4u}) {
+    const std::string at = cat(where, " threads=", threads);
+    const GlobalChecker checker(inst, threads);
+    const GlobalCheckResult global = checker.check_all();
+    expect_same_verdict(inst, global, want, at + " global");
+    EXPECT_EQ(global.deadlock_samples, want.deadlock_samples) << at;
+    EXPECT_EQ(checker.livelock_states(), ref.livelock_states) << at;
+    if (inst.is_ring())
+      expect_same_verdict(inst, check_symmetric(inst, 8, threads), want,
+                          at + " quotient");
+    else
+      EXPECT_THROW((void)check_symmetric(inst, 8, threads), ModelError)
+          << at;
+  }
+  return want;
+}
+
 void expect_engines_agree(const Protocol& p, std::size_t k_min,
                           std::size_t k_max) {
-  for (std::size_t k = k_min; k <= k_max; ++k) {
-    const RingInstance ring(p, k);
-    const testing::ReferenceResult ref = testing::reference_check(ring);
-    const GlobalCheckResult& want = ref.verdict;
-    const std::string where = cat(p.name(), " K=", k);
-    if (want.has_livelock)
-      expect_witness_replays(ring, want.livelock_cycle, where + " reference");
-    for (const std::size_t threads : {1u, 4u}) {
-      const std::string at = cat(where, " threads=", threads);
-      const GlobalChecker checker(ring, threads);
-      const GlobalCheckResult global = checker.check_all();
-      expect_same_verdict(ring, global, want, at + " global");
-      EXPECT_EQ(global.deadlock_samples, want.deadlock_samples) << at;
-      EXPECT_EQ(checker.livelock_states(), ref.livelock_states) << at;
-      expect_same_verdict(ring, check_symmetric(ring, 8, threads), want,
-                          at + " quotient");
-    }
-  }
+  for (std::size_t k = k_min; k <= k_max; ++k)
+    (void)expect_instance_agrees(RingInstance(p, k), cat(p.name(), " K=", k));
 }
 
 TEST_P(RandomProtocolTest, AllEnginesAgree) {
@@ -226,6 +238,85 @@ TEST(DifferentialHarness, LargerRings) {
       "legit: x[-1] != x[0];\n"
       "action recolor: x[-1] == x[0] -> x[0] := (x[0] + 1) % 3;\n",
       "recolor.ring")));
+}
+
+// Arrays and trees run through the same engines, plus the termination
+// pass. Its oracle is the reference checker on a twin instance with
+// LC_r ≡ false, built here from the protocol rather than by
+// RingInstance::without_invariant.
+struct TopologyTally {
+  std::size_t instances = 0;
+  std::size_t livelocks = 0;
+  std::size_t nonterminating = 0;
+  std::size_t cycles_through_i = 0;  // nonterminating without a livelock
+  std::size_t closure_violations = 0;
+};
+
+Protocol never_legit(const Protocol& p) {
+  return Protocol(p.name() + "_never_legit", p.space(), p.delta(),
+                  std::vector<bool>(p.num_states(), false));
+}
+
+void expect_topology_agrees(const RingInstance& inst,
+                            const RingInstance& never_legit_twin,
+                            const std::string& where, TopologyTally& tally) {
+  const GlobalCheckResult want = expect_instance_agrees(inst, where);
+  const bool want_terminates =
+      !testing::reference_check(never_legit_twin).verdict.has_livelock;
+  for (const std::size_t threads : {1u, 4u})
+    EXPECT_EQ(terminates(inst, threads), want_terminates)
+        << where << " threads=" << threads;
+  ++tally.instances;
+  tally.livelocks += want.has_livelock;
+  tally.nonterminating += !want_terminates;
+  tally.cycles_through_i += !want_terminates && !want.has_livelock;
+  tally.closure_violations += !want.closure_ok;
+}
+
+TEST(DifferentialHarness, ArraysAndTrees) {
+  TopologyTally tally;
+  const auto arrays = [&](const Protocol& p) {
+    for (std::size_t n = 2; n <= 6; ++n)
+      expect_topology_agrees(RingInstance::array(p, n),
+                             RingInstance::array(never_legit(p), n),
+                             cat(p.name(), " array n=", n), tally);
+  };
+  const auto tree = [&](const Protocol& p, std::uint64_t seed) {
+    const auto shape = random_tree_shape(6, seed);
+    expect_topology_agrees(RingInstance::tree(p, shape),
+                           RingInstance::tree(never_legit(p), shape),
+                           cat(p.name(), " tree seed=", seed), tally);
+  };
+  std::mt19937_64 rng(17);
+  std::uint64_t shape_seed = 0;
+  for (const bool bidirectional : {false, true}) {
+    for (const bool self_disabling : {true, false}) {
+      for (int i = 0; i < 10; ++i) {
+        const Protocol p = testing::random_array_protocol(
+            rng, {bidirectional, self_disabling});
+        arrays(p);
+        if (bidirectional) continue;  // trees read their parent only
+        for (int t = 0; t < 4; ++t) tree(p, ++shape_seed);
+      }
+    }
+  }
+  // Random protocols never fire inside I. This one may: closure fails, and
+  // at n = 2 its only cycle passes through I, so the instance does not
+  // terminate although it has no livelock.
+  const Protocol flip = build_protocol(parse_protocol_source(
+      "protocol flip_anywhere;\n"
+      "domain z, o, B;\n"
+      "reads -1 .. 0;\n"
+      "legit: x[-1] == B || x[0] == 0;\n"
+      "action flip: x[-1] != B && x[0] != B -> x[0] := 1 - x[0];\n",
+      "flip_anywhere.ring"));
+  arrays(flip);
+  tree(flip, ++shape_seed);
+  EXPECT_EQ(tally.instances, 286u);
+  EXPECT_GT(tally.livelocks, 0u);
+  EXPECT_GT(tally.nonterminating, 0u);
+  EXPECT_GT(tally.cycles_through_i, 0u);
+  EXPECT_GT(tally.closure_violations, 0u);
 }
 
 // The synthesizers' only candidate screen is the static rejection lane.

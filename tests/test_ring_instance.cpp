@@ -4,6 +4,7 @@
 
 #include "helpers.hpp"
 #include "protocols/agreement.hpp"
+#include "protocols/arrays.hpp"
 #include "protocols/matching.hpp"
 
 namespace ringstab {
@@ -32,6 +33,78 @@ TEST(RingInstance, LocalStateMatchesHelper) {
       EXPECT_EQ(r.local_state(s, i),
                 local_state_of(r.protocol(), ring, i));
   }
+}
+
+// Arrays and trees share the ring's digit-index table, with offsets past an
+// array's ends and the tree root's parent pointing at the ⊥ slot. Check
+// local_state() and the rolling Cursor against a naive decode that knows
+// nothing of the table: values by repeated division over the |D|-1 real
+// values, ⊥ wherever a window leaves the array or the root looks up.
+void expect_local_states_match(const RingInstance& inst,
+                               const std::vector<std::size_t>* parents) {
+  const Protocol& p = inst.protocol();
+  const std::size_t n = inst.ring_size();
+  const std::size_t real = p.domain().size() - 1;
+  const Value bot = static_cast<Value>(real);
+  const auto& loc = p.locality();
+  std::size_t states = 1;
+  for (std::size_t i = 0; i < n; ++i) states *= real;
+  ASSERT_EQ(inst.num_states(), states) << p.name();
+
+  auto cur = inst.cursor(0);
+  for (GlobalStateId s = 0; s < inst.num_states(); ++s, cur.advance()) {
+    ASSERT_EQ(cur.state(), s);
+    std::vector<Value> vals(n);
+    GlobalStateId rest = s;
+    for (std::size_t i = 0; i < n; ++i) {
+      vals[i] = static_cast<Value>(rest % real);
+      rest /= real;
+    }
+    const std::vector<Value> decoded = inst.decode(s);
+    ASSERT_EQ(decoded, vals) << p.name() << " s=" << s;  // no ⊥ slot
+    EXPECT_EQ(inst.encode(decoded), s);
+    for (std::size_t i = 0; i < n; ++i) {
+      std::vector<Value> window;
+      if (parents != nullptr) {
+        window = {i == 0 ? bot : vals[(*parents)[i - 1]], vals[i]};
+      } else {
+        for (int off = -loc.left; off <= loc.right; ++off) {
+          const long long j = static_cast<long long>(i) + off;
+          window.push_back(j < 0 || j >= static_cast<long long>(n)
+                               ? bot
+                               : vals[static_cast<std::size_t>(j)]);
+        }
+      }
+      const LocalStateId want = p.space().encode(window);
+      EXPECT_EQ(inst.local_state(s, i), want)
+          << p.name() << " s=" << inst.brief(s) << " i=" << i;
+      EXPECT_EQ(cur.local_state(i), want)
+          << p.name() << " s=" << inst.brief(s) << " i=" << i;
+    }
+  }
+}
+
+TEST(RingInstance, ArrayLocalStatesMatchNaiveDecode) {
+  std::mt19937_64 rng(5);
+  const Protocol bidirectional =
+      testing::random_array_protocol(rng, {/*bidirectional=*/true});
+  ASSERT_EQ(bidirectional.locality(), (Locality{1, 1}));
+  for (const Protocol& p : {protocols::array_two_coloring(),
+                            protocols::array_sort(3), bidirectional})
+    for (std::size_t n = 2; n <= 5; ++n)
+      expect_local_states_match(RingInstance::array(p, n), nullptr);
+}
+
+TEST(RingInstance, TreeLocalStatesMatchNaiveDecode) {
+  const std::vector<std::vector<std::size_t>> shapes = {
+      {0, 0, 0, 0},                 // star
+      {0, 1, 2, 3},                 // path
+      random_tree_shape(6, 7),
+      random_tree_shape(6, 8)};
+  for (const Protocol& p :
+       {protocols::array_two_coloring(), protocols::array_sort(3)})
+    for (const auto& shape : shapes)
+      expect_local_states_match(RingInstance::tree(p, shape), &shape);
 }
 
 TEST(RingInstance, InvariantIsConjunctionOfLocals) {

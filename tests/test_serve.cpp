@@ -246,6 +246,89 @@ TEST(ServeCacheKey, JobsIsExcludedFromTheIdentity) {
          "cache";
 }
 
+// cache_key() lists the request's fields by hand, apart from the wire codec.
+// Perturb each field decode_request() accepts, one wire line at a time:
+// every key must differ from the base key except under options.jobs, which
+// is execution advice. The field list is tied to the codec by encoding an
+// all-non-default request, which must emit exactly these names.
+TEST(ServeCacheKey, EveryWireFieldIsIdentityExceptJobs) {
+  const std::vector<std::pair<std::string, std::string>> base = {
+      {"cmd", R"("check")"},
+      {"source", R"("protocol x\n")"},
+      {"name", R"("x.ring")"},
+      {"k", "4"}};
+  // One non-default JSON value per field; "options." fields nest.
+  const std::vector<std::pair<std::string, std::string>> perturbed = {
+      {"cmd", R"("lint")"},
+      {"source", R"("protocol y\n")"},
+      {"name", R"("y.ring")"},
+      {"k", "5"},
+      {"options.jobs", "4"},
+      {"options.symmetry", "true"},
+      {"options.all", "true"},
+      {"options.json", "true"},
+      {"options.lint", "true"},
+      {"options.werror", "true"},
+      {"options.synth", "true"},
+      {"options.check_k", "6"},
+      {"options.trajectories", "7"},
+      {"options.seed", "8"},
+      {"options.cap", "9"},
+      {"options.coin", "0.25"},
+      {"options.scheduler", R"("weighted")"},
+      {"options.target", R"("one-token")"},
+      {"options.start", R"("zero")"},
+      {"options.sim_k", "10"}};
+  const std::string kOptions = "options.";
+  const auto line = [&](const std::string& field, const std::string& value) {
+    std::string out = "{";
+    for (const auto& [name, v] : base)
+      out += "\"" + name + "\":" + (name == field ? value : v) + ",";
+    if (field.starts_with(kOptions))
+      out += "\"options\":{\"" + field.substr(kOptions.size()) +
+             "\":" + value + "},";
+    out.back() = '}';
+    return out;
+  };
+  const std::string base_key = cache_key(decode_request(line("", "")));
+  for (const auto& [field, value] : perturbed) {
+    const std::string key = cache_key(decode_request(line(field, value)));
+    if (field == "options.jobs")
+      EXPECT_EQ(key, base_key) << field;
+    else
+      EXPECT_NE(key, base_key) << field << " is not part of the cache key";
+  }
+
+  Request all;
+  all.cmd = "check";
+  all.source = "protocol x\n";
+  all.name = "x.ring";
+  all.k = 4;
+  all.options.jobs = 4;
+  all.options.symmetry = all.options.all = all.options.json = true;
+  all.options.lint = all.options.werror = all.options.synth = true;
+  all.options.check_k = 6;
+  all.options.trajectories = 7;
+  all.options.sim_seed = 8;
+  all.options.round_cap = 9;
+  all.options.coin = 0.25;
+  all.options.scheduler = "weighted";
+  all.options.target = "one-token";
+  all.options.start = "zero";
+  all.options.sim_k = 10;
+  std::set<std::string> emitted;
+  for (const auto& [name, v] : obs::json::parse(encode_request(all)).members) {
+    if (name != "options") {
+      emitted.insert(name);
+      continue;
+    }
+    for (const auto& [opt, ov] : v.members) emitted.insert(kOptions + opt);
+  }
+  std::set<std::string> listed;
+  for (const auto& [field, value] : perturbed) listed.insert(field);
+  EXPECT_EQ(emitted, listed) << "a wire field is missing from this test";
+}
+
 TEST(ServeCacheKey, UnknownCommandThrows) {
   Request r;
   r.cmd = "exec";

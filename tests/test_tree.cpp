@@ -1,14 +1,12 @@
 // Tree topology (parent-read in-trees): the array reduction validated
 // against exhaustive tree checking on random shapes.
-#include "global/tree_instance.hpp"
-
 #include <gtest/gtest.h>
 
 #include <random>
 
-#include "global/array_instance.hpp"
-
+#include "global/checker.hpp"
 #include "helpers.hpp"
+#include "local/array.hpp"
 #include "protocols/arrays.hpp"
 
 namespace ringstab {
@@ -16,16 +14,16 @@ namespace {
 
 TEST(Tree, ValidatesShapeAndLocality) {
   const Protocol p = protocols::array_agreement(2);
-  EXPECT_THROW(TreeInstance(p, {1}), ModelError);  // parent(1) must be < 1
-  EXPECT_NO_THROW(TreeInstance(p, {0, 0, 1}));
+  EXPECT_THROW(RingInstance::tree(p, {1}), ModelError);  // parent(1) < 1
+  EXPECT_NO_THROW(RingInstance::tree(p, {0, 0, 1}));
   const Protocol bidi = testing::protocol_zoo()[0];  // matching: window 3
-  EXPECT_THROW(TreeInstance(bidi, {0}), ModelError);
+  EXPECT_THROW(RingInstance::tree(bidi, {0}), ModelError);
 }
 
 TEST(Tree, LocalStatesUseParentValues) {
   const Protocol p = protocols::array_agreement(2);
   // Star: nodes 1,2,3 all children of the root.
-  const TreeInstance t(p, {0, 0, 0});
+  const RingInstance t = RingInstance::tree(p, {0, 0, 0});
   const GlobalStateId s = t.encode(std::vector<Value>{1, 0, 1, 0});
   // Root sees (⊥, 1); children see (1, own).
   EXPECT_EQ(p.space().decode(t.local_state(s, 0)),
@@ -44,12 +42,14 @@ TEST(Tree, PathTreeMatchesArray) {
     for (std::size_t n = 3; n <= 7; ++n) {
       std::vector<std::size_t> path(n - 1);
       for (std::size_t i = 1; i < n; ++i) path[i - 1] = i - 1;
-      const auto tree = check_tree(TreeInstance(p, path));
-      const auto array = check_array(ArrayInstance(p, n));
+      const RingInstance tree_inst = RingInstance::tree(p, path);
+      const RingInstance array_inst = RingInstance::array(p, n);
+      const auto tree = GlobalChecker(tree_inst).check_all();
+      const auto array = GlobalChecker(array_inst).check_all();
       EXPECT_EQ(tree.num_deadlocks_outside_i, array.num_deadlocks_outside_i)
           << p.name() << " n=" << n;
       EXPECT_EQ(tree.has_livelock, array.has_livelock) << p.name();
-      EXPECT_EQ(tree.terminates, array.terminates) << p.name();
+      EXPECT_EQ(terminates(tree_inst), terminates(array_inst)) << p.name();
     }
   }
 }
@@ -65,10 +65,11 @@ TEST(Tree, ArrayCertificationCoversRandomTrees) {
         << p.name();
     for (std::uint64_t seed = 1; seed <= 10; ++seed) {
       const auto shape = random_tree_shape(7, seed);
-      const auto check = check_tree(TreeInstance(p, shape));
+      const RingInstance tree = RingInstance::tree(p, shape);
+      const auto check = GlobalChecker(tree).check_all();
       EXPECT_EQ(check.num_deadlocks_outside_i, 0u)
           << p.name() << " seed=" << seed;
-      EXPECT_TRUE(check.terminates) << p.name() << " seed=" << seed;
+      EXPECT_TRUE(terminates(tree)) << p.name() << " seed=" << seed;
     }
   }
 }
@@ -80,7 +81,7 @@ TEST(Tree, ArrayWitnessEmbedsAsPathTree) {
   ASSERT_TRUE(witness.has_value());
   std::vector<std::size_t> path(5);
   for (std::size_t i = 1; i < 6; ++i) path[i - 1] = i - 1;
-  const TreeInstance t(p, path);
+  const RingInstance t = RingInstance::tree(p, path);
   const GlobalStateId s = t.encode(*witness);
   EXPECT_TRUE(t.is_deadlock(s));
   EXPECT_FALSE(t.in_invariant(s));
@@ -93,7 +94,8 @@ TEST(Tree, BrokenProtocolDeadlocksOnRandomTrees) {
   std::size_t deadlocked_shapes = 0;
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     const auto check =
-        check_tree(TreeInstance(p, random_tree_shape(6, seed)));
+        GlobalChecker(RingInstance::tree(p, random_tree_shape(6, seed)))
+            .check_all();
     if (check.num_deadlocks_outside_i > 0) ++deadlocked_shapes;
   }
   EXPECT_EQ(deadlocked_shapes, 10u);
