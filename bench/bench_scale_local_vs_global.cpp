@@ -1,8 +1,13 @@
 // EXP-S1 — the paper's core efficiency claim: local reasoning is
 // K-independent while global model checking explodes exponentially with K.
+#include <sys/resource.h>
+
 #include <chrono>
 #include <cstdlib>
 #include <functional>
+#include <map>
+#include <memory>
+#include <string>
 
 #include "bench_util.hpp"
 #include "core/builder.hpp"
@@ -100,12 +105,169 @@ void report() {
   bench::footer();
 }
 
+/// Sums the wall time of phase spans by name while attached to the
+/// registry, so one check_symmetric call splits into its stages.
+class StageClock : public obs::Sink {
+ public:
+  void on_span(const obs::SpanRecord& rec) override {
+    if (!rec.chunk)
+      ms_[rec.name] += static_cast<double>(rec.end - rec.start) / 1e6;
+  }
+  double ms(const std::string& name) const {
+    const auto it = ms_.find(name);
+    return it == ms_.end() ? 0.0 : it->second;
+  }
+
+ private:
+  std::map<std::string, double> ms_;
+};
+
+/// The process's peak resident set so far, in MB.
+double peak_rss_mb() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_maxrss) / 1024.0;  // KB on Linux
+}
+
+bool same_verdict(const SymmetricCheckResult& a,
+                  const SymmetricCheckResult& b) {
+  return a.num_necklaces == b.num_necklaces &&
+         a.num_deadlocks_outside_i == b.num_deadlocks_outside_i &&
+         a.deadlock_orbit_reps == b.deadlock_orbit_reps &&
+         a.has_livelock == b.has_livelock &&
+         a.livelock_cycle == b.livelock_cycle &&
+         a.closure_ok == b.closure_ok &&
+         a.closure_violation == b.closure_violation &&
+         a.weakly_converges == b.weakly_converges &&
+         a.max_recovery_steps == b.max_recovery_steps;
+}
+
+// EXP-S1c, verdict rows — check_symmetric end to end on sum_not_two_ss at
+// K=14, 16, 18 on 1 and 4 lanes and at K=20 on 4, each run traced and
+// split into census (FKM census, ¬I necklace bitset, edge bounds), graph
+// (the second FKM pass writing the CSR in place, with the closure duty)
+// and verdict (everything after: the acyclic pass, or Tarjan and the lift).
+// The rows run first in the process and in ascending K, so the process
+// high-water mark read after a row is that row's peak RSS (a 4-lane row
+// reads at least its 1-lane twin's). Every lane count must agree on every
+// field; K <= 16 is then held to GlobalChecker::check_all, K=18 to the
+// earlier quotient's verdict (21,524,542 necklaces, recovery 35), and K=20
+// (3^20 states) to Burnside's necklace count and the strong convergence
+// the local certificate proves for every K. RINGSTAB_BENCH_SMOKE runs
+// K=8 and 10 instead, with no K=20 row.
+std::vector<bench::Json> quotient_verdict_report(bool smoke) {
+  bench::header(
+      "EXP-S1c", "rotation-quotient verdicts, census / graph / verdict",
+      "one canonical state per rotation orbit decides every verdict, so "
+      "the quotient reaches rings the full-space engine cannot hold");
+
+  const Protocol p = protocols::sum_not_two_solution();
+  struct Config {
+    std::size_t k;
+    std::vector<std::size_t> lanes;
+  };
+  const std::vector<Config> configs =
+      smoke ? std::vector<Config>{{8, {1, 4}}, {10, {1, 4}}}
+            : std::vector<Config>{
+                  {14, {1, 4}}, {16, {1, 4}}, {18, {1, 4}}, {20, {4}}};
+  std::vector<bench::Json> rows;
+  std::vector<std::pair<std::size_t, SymmetricCheckResult>> checked;
+  for (const Config& config : configs) {
+    const RingInstance ring(p, config.k, GlobalStateId{1} << 32);
+    for (const std::size_t lanes : config.lanes) {
+      auto clock = std::make_shared<StageClock>();
+      obs::Registry& registry = obs::Registry::global();
+      obs::Counter& edge_counter = obs::counter("symmetry.quotient_edges");
+      const bool was_enabled = obs::enabled();
+      registry.add_sink(clock);
+      obs::g_enabled.store(true);
+      const std::uint64_t edges_before = edge_counter.total();
+      const SymmetricCheckResult res = check_symmetric(ring, 8, lanes);
+      const std::uint64_t edges = edge_counter.total() - edges_before;
+      obs::g_enabled.store(was_enabled);
+      registry.remove_sink(clock.get());
+      const double rss_mb = peak_rss_mb();
+
+      if (checked.empty() || checked.back().first != config.k)
+        checked.emplace_back(config.k, res);
+      else if (!same_verdict(res, checked.back().second))
+        throw ModelError(cat("EXP-S1c: K=", config.k, " on ", lanes,
+                             " lanes disagrees with 1 lane"));
+      const double census_ms = clock->ms("symmetry.necklace_census");
+      const double graph_ms = clock->ms("symmetry.quotient_graph");
+      const double ms = clock->ms("symmetry.check");
+      const double verdict_ms = ms - census_ms - graph_ms;
+      std::cout << "  K=" << config.k << ", " << lanes << " lane(s): "
+                << res.num_necklaces << " necklaces, " << edges
+                << " quotient edges; " << ms << " ms (census " << census_ms
+                << ", graph " << graph_ms << ", verdict " << verdict_ms
+                << "); peak RSS " << rss_mb << " MB; "
+                << (res.strongly_converges() ? "strongly converging"
+                                             : "NOT strongly converging")
+                << ", recovery " << res.max_recovery_steps << "\n";
+      rows.push_back(bench::Json()
+                         .put("ring_size", config.k)
+                         .put("threads", lanes)
+                         .put("num_states", ring.num_states())
+                         .put("num_necklaces", res.num_necklaces)
+                         .put("quotient_edges", edges)
+                         .put("deadlocks_outside_i",
+                              res.num_deadlocks_outside_i)
+                         .put("closure_ok", res.closure_ok)
+                         .put("has_livelock", res.has_livelock)
+                         .put("recovery_steps", res.max_recovery_steps)
+                         .put("census_ms", census_ms)
+                         .put("graph_ms", graph_ms)
+                         .put("verdict_ms", verdict_ms)
+                         .put("ms", ms)
+                         .put("peak_rss_mb", rss_mb));
+    }
+  }
+
+  // The cross-checks run after every row, so the full-space engine's
+  // memory never lands in a row's peak RSS.
+  for (const auto& [k, res] : checked) {
+    if (k <= 16) {
+      const RingInstance ring(p, k, GlobalStateId{1} << 27);
+      const GlobalCheckResult full = GlobalChecker(ring, 4).check_all();
+      if (res.num_deadlocks_outside_i != full.num_deadlocks_outside_i ||
+          res.closure_ok != full.closure_ok ||
+          res.has_livelock != full.has_livelock ||
+          res.weakly_converges != full.weakly_converges ||
+          res.max_recovery_steps != full.max_recovery_steps)
+        throw ModelError(cat("EXP-S1c: the quotient disagrees with "
+                             "check_all at K=",
+                             k));
+    } else if (k == 18) {
+      if (res.num_necklaces != 21524542 || !res.strongly_converges() ||
+          res.max_recovery_steps != 35)
+        throw ModelError("EXP-S1c: the K=18 quotient verdict changed");
+    } else if (k == 20) {
+      if (res.num_necklaces != 174342216 || !res.strongly_converges())
+        throw ModelError("EXP-S1c: the K=20 quotient verdict is wrong");
+    }
+  }
+  bench::note(cat(
+      "every lane count equals the 1-lane run on every field; ",
+      smoke ? "K=8 and 10 equal GlobalChecker::check_all on the verdict "
+              "fields — SMOKE RUN, no K=18 or K=20 row"
+            : "K=14 and 16 equal GlobalChecker::check_all on the verdict "
+              "fields, K=18 the earlier quotient's verdict (21,524,542 "
+              "necklaces, recovery 35), K=20 Burnside's 174,342,216 "
+              "necklaces and strong convergence",
+      "; ", resolve_threads(0), " hardware lane(s) here"));
+  bench::footer();
+  return rows;
+}
+
 // EXP-S1c — the necklace quotient vs the full-space sweep, head to head:
 // the same deadlock census computed by (a) the parallel full-space engine
 // over |D|^K states and (b) the FKM-enumerated rotation quotient over
 // ~|D|^K / K necklaces. Emits BENCH_symmetry.json (wall time and peak
-// state count per K and thread count) for CI tracking.
-void symmetry_report() {
+// state count per K and thread count) for CI tracking, with the verdict
+// rows quotient_verdict_report measured.
+void symmetry_report(const std::vector<bench::Json>& verdict_runs,
+                     bool smoke) {
   bench::header(
       "EXP-S1c", "necklace quotient vs full-space sweep",
       "ring protocols are rotation-symmetric, so one canonical state per "
@@ -161,7 +323,12 @@ void symmetry_report() {
                               .put("protocol", p.name())
                               .put("sweep", "deadlock_census_outside_i")
                               .put("hardware_threads", resolve_threads(0))
-                              .put("runs", runs));
+                              .put("runs", runs)
+                              .put("verdict_sweep",
+                                   "check_symmetric: census, graph pass, "
+                                   "verdict; peak RSS after each row")
+                              .put("verdict_smoke", smoke)
+                              .put("verdict_runs", verdict_runs));
   bench::footer();
 }
 
@@ -365,10 +532,13 @@ Protocol recolor_ring() {
 }
 
 void report_all() {
+  const bool smoke = std::getenv("RINGSTAB_BENCH_SMOKE") != nullptr;
+  // First, while the process is small: its peak RSS is read after each row.
+  const std::vector<bench::Json> quotient_runs =
+      quotient_verdict_report(smoke);
   report();
   const std::vector<bench::Json> sweep_runs = global_engine_report();
 
-  const bool smoke = std::getenv("RINGSTAB_BENCH_SMOKE") != nullptr;
   const Protocol p = protocols::sum_not_two_solution();
   const std::size_t k = smoke ? 8 : 16;
   const RingInstance ring(p, k, GlobalStateId{1} << 27);
@@ -400,7 +570,7 @@ void report_all() {
           .put("many_scc_num_states", many.num_states())
           .put("many_scc_runs", many_scc.runs)
           .put("many_scc_stages", many_scc.stages));
-  symmetry_report();
+  symmetry_report(quotient_runs, smoke);
 }
 
 void BM_LocalAnalysis(benchmark::State& state) {

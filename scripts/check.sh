@@ -2,13 +2,13 @@
 # Tier-1 gate + sanitized builds.
 #
 #   scripts/check.sh            full: build, ctest, TSan test_parallel+test_obs
-#                               +test_parallel_scc+test_synthesis_parallel
-#                               +test_serve, ASan test_checker
 #                               +test_parallel_scc+test_symmetry
+#                               +test_synthesis_parallel+test_serve, ASan
+#                               test_checker+test_parallel_scc+test_symmetry
 #                               +test_ring_instance+test_array+test_tree + CLI
 #                               parsing/synthesis/lint tests, UBSan
 #                               core/local/analysis test binaries
-#                               +test_checker+test_parallel_scc
+#                               +test_checker+test_parallel_scc+test_symmetry
 #                               +test_ring_instance+test_array+test_tree
 #   scripts/check.sh --fast     tier-1 only (skip the sanitizer builds)
 #   scripts/check.sh --tsan     TSan stage only (the CI tsan job's recipe)
@@ -35,12 +35,12 @@ if [[ "$mode" != "--tsan" ]]; then
   fi
 fi
 
-echo "== TSan: build test_parallel + test_parallel_scc + test_obs + test_synthesis_parallel + test_serve =="
+echo "== TSan: build test_parallel + test_parallel_scc + test_symmetry + test_obs + test_synthesis_parallel + test_serve =="
 cmake -B "$repo/build-tsan" -S "$repo" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DRINGSTAB_SANITIZE=thread
 cmake --build "$repo/build-tsan" -j "$jobs" \
-      --target test_parallel test_parallel_scc test_obs test_synthesis_parallel \
-               test_serve
+      --target test_parallel test_parallel_scc test_symmetry test_obs \
+               test_synthesis_parallel test_serve
 
 echo "== TSan: run =="
 "$repo/build-tsan/tests/test_parallel"
@@ -50,6 +50,13 @@ echo "== TSan: run =="
 # to_inv writes. The acyclic and Tarjan verdict passes after them are
 # serial.
 "$repo/build-tsan/tests/test_parallel_scc"
+# The rotation quotient's two parallel passes over slot chunks, at 1 and 4
+# threads: the census sets ¬I necklace bits with set_atomic, because a slot
+# chunk's id range is not 64-aligned and neighbours may share a word; the
+# graph pass writes rows and edges in place into chunk-private CSR slots,
+# reads the popcount rank of the finished bitset, and sets rank-space
+# to_inv bits with set_atomic.
+"$repo/build-tsan/tests/test_symmetry"
 "$repo/build-tsan/tests/test_obs"
 # The zoo-wide bit-identity sweeps re-run full synthesis dozens of times and
 # take minutes under TSan; the remaining tests drive every concurrent code
@@ -91,23 +98,29 @@ echo "== ASan: run =="
 ctest --test-dir "$repo/build-asan" --output-on-failure -j "$jobs" \
       -R 'cli_(bad_k|negative_k|missing_flag_value|flag_value_flag|batch_missing_value|check_symmetry|batch_symmetry|bad_jobs|synth_alias|synthesize_jobs|synthesize_bad_jobs|batch_synth|lint|lint_json|lint_error|batch_lint)'
 
-echo "== UBSan: build core/local/analysis + checker + instance test binaries =="
+echo "== UBSan: build core/local/analysis + checker + quotient + instance test binaries =="
 cmake -B "$repo/build-ubsan" -S "$repo" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DRINGSTAB_SANITIZE=undefined
 cmake --build "$repo/build-ubsan" -j "$jobs" \
       --target test_domain test_local_state test_protocol test_parser \
                test_deadlock test_livelock test_lint test_checker \
-               test_parallel_scc test_ring_instance test_array test_tree
+               test_parallel_scc test_symmetry test_ring_instance test_array \
+               test_tree
 
 echo "== UBSan: run =="
 # Recovery is disabled in the build, so any UB aborts the stage. The
 # checker's acyclic and Tarjan passes index rank arrays from explicit
-# stacks; test_checker and test_parallel_scc drive both. test_ring_instance,
-# test_array and test_tree drive the array and tree index tables, whose
-# out-of-range offsets read the ⊥ slot.
+# stacks; test_checker and test_parallel_scc drive both. test_symmetry
+# drives the rotation quotient: the rotation scan's digit indexing on rings
+# up to K=100, the popcount rank and select over the ¬I necklace bitset's
+# word prefix, and the census's bit writes from slot chunks whose id ranges
+# are not 64-aligned. test_ring_instance, test_array and test_tree drive
+# the array and tree index tables, whose out-of-range offsets read the ⊥
+# slot.
 for t in test_domain test_local_state test_protocol test_parser \
          test_deadlock test_livelock test_lint test_checker \
-         test_parallel_scc test_ring_instance test_array test_tree; do
+         test_parallel_scc test_symmetry test_ring_instance test_array \
+         test_tree; do
   "$repo/build-ubsan/tests/$t"
 done
 

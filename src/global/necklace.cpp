@@ -1,31 +1,29 @@
 #include "global/necklace.hpp"
 
+#include <algorithm>
+
 namespace ringstab {
+
+GlobalStateId canonical_necklace_id(GlobalStateId id, const Value* digits,
+                                    std::size_t k,
+                                    std::span<const GlobalStateId> pow) {
+  if (k < 2) return id;
+  const GlobalStateId radix = pow[1];
+  const GlobalStateId wrap = pow[k - 1] * radix - 1;  // |D|^K - 1 mod 2^64
+  // Step i moves digit i, the top of the current rotation, to the bottom.
+  GlobalStateId least = id;
+  for (std::size_t i = k - 1; i > 0; --i) {
+    id = id * radix - GlobalStateId{digits[i]} * wrap;
+    least = std::min(least, id);
+  }
+  return least;
+}
 
 GlobalStateId canonical_necklace_id(const Value* digits, std::size_t k,
                                     std::span<const GlobalStateId> pow) {
-  // Work on the most-significant-first view v[j] = digits[k-1-j], so that
-  // lexicographic order on v equals numeric order on the encoding; Duval's
-  // least-rotation scan over the conceptually doubled v is O(k) with no
-  // allocation.
-  auto at = [&](std::size_t j) { return digits[k - 1 - (j % k)]; };
-  std::size_t i = 0, best = 0;
-  while (i < k) {
-    best = i;
-    std::size_t j = i + 1, l = i;
-    while (j < 2 * k && at(l) <= at(j)) {
-      if (at(l) < at(j))
-        l = i;
-      else
-        ++l;
-      ++j;
-    }
-    while (i <= l) i += j - l;
-  }
   GlobalStateId id = 0;
-  for (std::size_t j = 0; j < k; ++j)
-    id += GlobalStateId{digits[k - 1 - ((best + j) % k)]} * pow[k - 1 - j];
-  return id;
+  for (std::size_t i = 0; i < k; ++i) id += GlobalStateId{digits[i]} * pow[i];
+  return canonical_necklace_id(id, digits, k, pow);
 }
 
 std::size_t cyclic_period(const Value* digits, std::size_t k) {

@@ -27,11 +27,19 @@
 
 namespace ringstab {
 
-/// O(K) least-rotation canonicalization (Duval's algorithm on the
-/// conceptually doubled string): the minimal mixed-radix encoding of any
-/// rotation of `digits` (ring order, least-significant digit first).
-/// `pow[i]` must be |D|^i for i in [0, k). Replaces the O(K²)
-/// rotate-and-compare scan everywhere a single state is canonicalized.
+/// O(K) least-rotation canonicalization: the minimal mixed-radix encoding
+/// over all K rotations of `digits` (ring order, least-significant digit
+/// first), whose own encoding is `id`. Rotating the word one place is one
+/// step on its encoding, id·|D| − top·(|D|^K − 1), so the scan reads each
+/// digit once, with no buffer, no modulo and no data-dependent branch.
+/// Unsigned wrapping keeps every step exact, since each rotation's encoding
+/// fits in 64 bits. `pow[i]` must be |D|^i for i in [0, k).
+GlobalStateId canonical_necklace_id(GlobalStateId id, const Value* digits,
+                                    std::size_t k,
+                                    std::span<const GlobalStateId> pow);
+
+/// The same, encoding `digits` first. Replaces the O(K²) rotate-and-compare
+/// scan everywhere a single state is canonicalized.
 GlobalStateId canonical_necklace_id(const Value* digits, std::size_t k,
                                     std::span<const GlobalStateId> pow);
 

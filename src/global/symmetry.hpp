@@ -16,13 +16,24 @@
 //    cycle, which check_symmetric materializes as its witness.
 //
 // check_symmetric is the second front-end of the verdict pipeline in
-// checker.hpp: the FKM necklace recursion (necklace.hpp) enumerates each
-// orbit representative directly, in ascending canonical-id order and
-// amortized O(1), never scanning the |D|^K full space; the ¬I necklaces,
-// with canonicalized successors, become a NotInvariantGraph, and the shared
-// verdict stages run on it unchanged.
-// EXP-S1c / BENCH_symmetry.json measure the census against the full-space
-// sweep: the quotient wins from K≈10 upward and the gap widens with K.
+// checker.hpp, in two passes of the FKM necklace recursion (necklace.hpp)
+// over the same prefix-slot chunks. Each pass enumerates every orbit
+// representative directly, in ascending canonical-id order and amortized
+// O(1), never scanning the |D|^K full space.
+//  * The census classifies each necklace, sets one bit per ¬I canonical id
+//    (a per-word popcount prefix then ranks them, as GlobalChecker ranks
+//    its ¬I states), and counts per chunk the ¬I necklaces and an upper
+//    bound on their quotient edges.
+//  * The graph pass canonicalizes each ¬I necklace's successors (an O(K)
+//    rotation scan from FKM's digits), ranks them off the bitset and writes
+//    its NotInvariantGraph rows and edges in place into the chunk's bounded
+//    slots; the gaps close in chunk order. The I necklaces check closure
+//    in the same pass.
+// The shared verdict stages run on the graph unchanged, and a livelock
+// witness maps ranks back to ids by a select over the bitset. The quotient
+// holds ~40 B per necklace: K=20 (3^20 states, 174M necklaces) fits in
+// about 7 GB. EXP-S1c / BENCH_symmetry.json measure the census against the
+// full-space sweep and split the verdicts by stage up to K=20.
 #pragma once
 
 #include <optional>
@@ -33,7 +44,7 @@
 namespace ringstab {
 
 /// The canonical representative of s's rotation orbit: the minimal encoding
-/// over all K rotations (O(K) via Duval least-rotation).
+/// over all K rotations (O(K), canonical_necklace_id).
 GlobalStateId canonical_rotation(const RingInstance& ring, GlobalStateId s);
 
 /// Number of distinct states in s's rotation orbit (== the primitive period
@@ -98,12 +109,12 @@ struct SymmetricCheckResult {
   }
 };
 
-/// `num_threads > 1` parallelizes the necklace enumeration and the
-/// quotient-graph build with its closure scan on the shared pool; the
-/// verdict passes over the quotient are serial. All results — including
-/// the lifted livelock witness, which is anchored canonically — stay
-/// identical to the serial run at every thread count. Throws ModelError
-/// unless `ring.is_ring()`.
+/// `num_threads > 1` parallelizes the census and the quotient-graph build
+/// with its closure scan on the shared pool; the verdict passes over the
+/// quotient are serial. All results — including the lifted livelock
+/// witness, which is anchored canonically — stay identical to the serial
+/// run at every thread count. Throws ModelError unless `ring.is_ring()`,
+/// CapacityError past 2^32 necklaces outside I.
 SymmetricCheckResult check_symmetric(const RingInstance& ring,
                                      std::size_t max_samples = 8,
                                      std::size_t num_threads = 1);

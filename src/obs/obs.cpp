@@ -266,6 +266,11 @@ void Registry::add_sink(std::shared_ptr<Sink> sink) {
   sinks_.push_back(std::move(sink));
 }
 
+void Registry::remove_sink(const Sink* sink) {
+  std::lock_guard lock(mu_);
+  std::erase_if(sinks_, [&](const auto& s) { return s.get() == sink; });
+}
+
 void Registry::clear_sinks() {
   std::lock_guard lock(mu_);
   sinks_.clear();

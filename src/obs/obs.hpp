@@ -312,6 +312,8 @@ class Registry {
   void reset_gauges();
 
   void add_sink(std::shared_ptr<Sink> sink);
+  /// Detach one sink that add_sink attached; the others stay.
+  void remove_sink(const Sink* sink);
   void clear_sinks();
 
   void emit_span(const SpanRecord& rec);

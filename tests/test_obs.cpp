@@ -150,6 +150,21 @@ TEST(ObsSpan, NestingIsWellFormedPerThread) {
   EXPECT_LE(spans[0].start, spans[0].end);
 }
 
+TEST(ObsSpan, RemovedSinkStopsReceivingAndTheOthersStay) {
+  const ObsGuard guard;
+  auto kept = std::make_shared<CaptureSink>();
+  auto removed = std::make_shared<CaptureSink>();
+  obs::Registry::global().add_sink(kept);
+  obs::Registry::global().add_sink(removed);
+  { const obs::Span span("test.both"); }
+  obs::Registry::global().remove_sink(removed.get());
+  { const obs::Span span("test.kept"); }
+  ASSERT_EQ(kept->spans().size(), 2u);
+  EXPECT_STREQ(kept->spans()[1].name, "test.kept");
+  ASSERT_EQ(removed->spans().size(), 1u);
+  EXPECT_STREQ(removed->spans()[0].name, "test.both");
+}
+
 TEST(ObsSpan, ParallelForChunksCarryTheEnclosingPhaseName) {
   const ObsGuard guard;
   auto capture = std::make_shared<CaptureSink>();
