@@ -92,7 +92,10 @@ GlobalSynthesisResult synthesize_convergence_global(
   obs::Counter& lint_rejected = obs::counter("lint.candidates_rejected");
   obs::Counter& static_rejects = obs::counter("synth.static_rejects");
   GlobalSynthesisResult res;
-  const auto resolve_sets = enumerate_resolve_sets(p, options.max_resolve_sets);
+  const auto resolve_sets = [&] {
+    const obs::Span enumerate("synth.enumerate");
+    return enumerate_resolve_sets(p, options.max_resolve_sets);
+  }();
 
   const StaticRejectionLane lane(p);
 
@@ -100,8 +103,10 @@ GlobalSynthesisResult synthesize_convergence_global(
 
   for (const auto& resolve : resolve_sets) {
     if (res.solutions.size() >= options.max_solutions) break;
-    const auto batch =
-        enumerate_candidate_sets(p, resolve, options.max_candidate_sets);
+    const auto batch = [&] {
+      const obs::Span enumerate("synth.enumerate");
+      return enumerate_candidate_sets(p, resolve, options.max_candidate_sets);
+    }();
     const std::size_t base = res.candidates_examined;
     const std::size_t quota = options.max_solutions - res.solutions.size();
     run_portfolio<GlobalEval>(

@@ -158,7 +158,10 @@ SynthesisResult synthesize_convergence(const Protocol& p,
                            ")"));
   }
 
-  res.resolve_sets = enumerate_resolve_sets(p, options.max_resolve_sets);
+  {
+    const obs::Span enumerate("synth.enumerate");
+    res.resolve_sets = enumerate_resolve_sets(p, options.max_resolve_sets);
+  }
 
   const StaticRejectionLane lane(p, options.trail_query);
 
@@ -172,8 +175,10 @@ SynthesisResult synthesize_convergence(const Protocol& p,
 
   for (const auto& resolve : res.resolve_sets) {
     if (res.solutions.size() >= options.max_solutions) break;
-    const auto batch =
-        enumerate_candidate_sets(p, resolve, options.max_candidate_sets);
+    const auto batch = [&] {
+      const obs::Span enumerate("synth.enumerate");
+      return enumerate_candidate_sets(p, resolve, options.max_candidate_sets);
+    }();
     const std::size_t base = res.candidates_examined;
     const std::size_t quota = options.max_solutions - res.solutions.size();
     run_portfolio<LocalEval>(

@@ -15,6 +15,9 @@
 #include "obs/obs.hpp"
 #include "obs/sinks.hpp"
 #include "parallel/thread_pool.hpp"
+#include "protocols/matching.hpp"
+#include "synthesis/global_synthesizer.hpp"
+#include "synthesis/local_synthesizer.hpp"
 
 namespace ringstab {
 namespace {
@@ -118,6 +121,36 @@ TEST(ObsCounter, CheckerCountersMatchSerialUnderFourThreads) {
       EXPECT_EQ(obs::counter(kInvariant[i]).total(), serial[i])
           << p.name() << ": " << kInvariant[i];
   }
+}
+
+/// The same for both synthesizers' exact counters, the Resolve-set search's
+/// node count among them, on the matching skeleton (whose search enters
+/// 34,894 removal sets).
+TEST(ObsCounter, SynthesisCountersMatchSerialUnderFourThreads) {
+  const ObsGuard guard;
+  const char* kInvariant[] = {
+      "feedback.search_nodes",      "synth.candidates_generated",
+      "synth.candidates_pruned",    "synth.solutions_found",
+      "synth.global_states_explored",
+  };
+  const Protocol p = protocols::matching_skeleton();
+  std::vector<std::uint64_t> totals[2];
+  for (const std::size_t threads : {1, 4}) {
+    obs::Registry::global().reset_counters();
+    SynthesisOptions local;
+    local.num_threads = threads;
+    (void)synthesize_convergence(p, local);
+    EXPECT_EQ(obs::counter("feedback.search_nodes").total(), 34894u);
+    GlobalSynthesisOptions global;
+    global.max_solutions = 4;
+    global.num_threads = threads;
+    (void)synthesize_convergence_global(p, global);
+    for (const char* name : kInvariant)
+      totals[threads == 4].push_back(obs::counter(name).total());
+  }
+  for (std::size_t i = 0; i < std::size(kInvariant); ++i)
+    EXPECT_EQ(totals[1][i], totals[0][i]) << kInvariant[i];
+  EXPECT_EQ(totals[0][0], 2 * 34894u);
 }
 
 TEST(ObsSpan, NestingIsWellFormedPerThread) {
