@@ -7,42 +7,6 @@
 namespace ringstab {
 namespace {
 
-// DFS from each successor of v back to v, avoiding revisits.
-std::optional<Cycle> cycle_via_dfs(const Digraph& g, VertexId v,
-                                   const std::vector<bool>* allowed) {
-  const std::size_t n = g.num_vertices();
-  auto ok = [&](VertexId u) { return allowed == nullptr || (*allowed)[u]; };
-  if (!ok(v)) return std::nullopt;
-  if (g.has_arc(v, v)) return Cycle{v};
-
-  std::vector<VertexId> parent(n, kInvalidLocalState);
-  std::vector<bool> visited(n, false);
-  std::vector<VertexId> stack;
-  for (VertexId w : g.out(v)) {
-    if (!ok(w) || visited[w]) continue;
-    visited[w] = true;
-    parent[w] = v;
-    stack.push_back(w);
-  }
-  while (!stack.empty()) {
-    const VertexId u = stack.back();
-    stack.pop_back();
-    for (VertexId w : g.out(u)) {
-      if (w == v) {
-        Cycle c{v};
-        for (VertexId x = u; x != v; x = parent[x]) c.push_back(x);
-        std::reverse(c.begin() + 1, c.end());
-        return c;
-      }
-      if (!ok(w) || visited[w]) continue;
-      visited[w] = true;
-      parent[w] = u;
-      stack.push_back(w);
-    }
-  }
-  return std::nullopt;
-}
-
 // Johnson's simple-cycle enumeration, recursion bounded by vertex count.
 class Johnson {
  public:
@@ -116,7 +80,51 @@ class Johnson {
 
 std::optional<Cycle> find_cycle_through(const Digraph& g, VertexId v,
                                         const std::vector<bool>* allowed) {
-  return cycle_via_dfs(g, v, allowed);
+  CycleSearchBuffers buffers;
+  Cycle cycle;
+  if (!find_cycle_through(g, v, allowed, buffers, cycle)) return std::nullopt;
+  return cycle;
+}
+
+// DFS from each successor of v back to v, avoiding revisits.
+bool find_cycle_through(const Digraph& g, VertexId v,
+                        const std::vector<bool>* allowed,
+                        CycleSearchBuffers& buffers, Cycle& cycle) {
+  auto ok = [&](VertexId u) { return allowed == nullptr || (*allowed)[u]; };
+  if (!ok(v)) return false;
+  if (g.has_arc(v, v)) {
+    cycle.assign(1, v);
+    return true;
+  }
+
+  // parent[u] is read only once u is visited, so it needs no reset.
+  auto& [parent, visited, stack] = buffers;
+  parent.resize(g.num_vertices());
+  visited.assign(g.num_vertices(), false);
+  stack.clear();
+  for (VertexId w : g.out(v)) {
+    if (!ok(w) || visited[w]) continue;
+    visited[w] = true;
+    parent[w] = v;
+    stack.push_back(w);
+  }
+  while (!stack.empty()) {
+    const VertexId u = stack.back();
+    stack.pop_back();
+    for (VertexId w : g.out(u)) {
+      if (w == v) {
+        cycle.assign(1, v);
+        for (VertexId x = u; x != v; x = parent[x]) cycle.push_back(x);
+        std::reverse(cycle.begin() + 1, cycle.end());
+        return true;
+      }
+      if (!ok(w) || visited[w]) continue;
+      visited[w] = true;
+      parent[w] = u;
+      stack.push_back(w);
+    }
+  }
+  return false;
 }
 
 std::vector<Cycle> simple_cycles(const Digraph& g, std::size_t max_cycles) {

@@ -19,6 +19,20 @@ std::optional<Cycle> find_cycle_through(const Digraph& g, VertexId v,
                                         const std::vector<bool>* allowed =
                                             nullptr);
 
+/// The working storage of find_cycle_through, for a caller that searches
+/// one graph many times and should not allocate per search.
+struct CycleSearchBuffers {
+  std::vector<VertexId> parent;
+  std::vector<bool> visited;
+  std::vector<VertexId> stack;
+};
+
+/// find_cycle_through working in `buffers`: the same cycle, written to
+/// `cycle`; false (and `cycle` unspecified) if there is none.
+bool find_cycle_through(const Digraph& g, VertexId v,
+                        const std::vector<bool>* allowed,
+                        CycleSearchBuffers& buffers, Cycle& cycle);
+
 /// Enumerate simple cycles (Johnson's algorithm), capped at `max_cycles`.
 /// Cycles are canonicalized to start at their smallest vertex and returned
 /// sorted by (length, lexicographic).
