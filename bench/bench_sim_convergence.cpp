@@ -27,22 +27,23 @@ void report() {
       {"sum-not-two solution", protocols::sum_not_two_solution()},
       {"no-adjacent-ones", protocols::no_adjacent_ones_solution()},
   };
+  const EstimateOptions eo = uniform_daemon_batch(500, 42);
   std::vector<bench::Json> runs;
   for (const auto& rowdef : rows) {
     std::cout << "  " << rowdef.name << " (500 random starts per K):\n";
     for (std::size_t k : {8u, 16u, 32u, 64u, 128u}) {
-      const auto stats = measure_convergence(rowdef.p, k, 500, 42);
-      std::cout << "    K=" << k << ": converged " << stats.converged << "/"
-                << stats.trials << ", mean " << stats.mean_steps
-                << " steps, max " << stats.max_steps << "\n";
+      const auto est = estimate_convergence_rounds(rowdef.p, k, eo);
+      std::cout << "    K=" << k << ": converged " << est.converged << "/"
+                << est.trajectories << ", mean " << est.mean_rounds
+                << " steps, max " << est.max_rounds << "\n";
       runs.push_back(bench::Json()
                          .put("protocol", rowdef.name)
                          .put("ring_size", k)
-                         .put("trials", stats.trials)
-                         .put("converged", stats.converged)
-                         .put("mean_steps", stats.mean_steps)
-                         .put("p95_steps", stats.p95_steps)
-                         .put("max_steps", stats.max_steps));
+                         .put("trials", est.trajectories)
+                         .put("converged", est.converged)
+                         .put("mean_steps", est.mean_rounds)
+                         .put("p95_steps", est.p95_rounds)
+                         .put("max_steps", est.max_rounds));
     }
   }
   bench::write_bench_json("BENCH_sim_convergence.json",

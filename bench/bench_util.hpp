@@ -20,6 +20,7 @@
 
 #include "obs/obs.hpp"
 #include "obs/session.hpp"
+#include "obs/sinks.hpp"
 
 namespace ringstab::bench {
 
@@ -55,7 +56,7 @@ inline void footer() {
 class Json {
  public:
   Json& put(const std::string& key, const std::string& v) {
-    return raw(key, '"' + escaped(v) + '"');
+    return raw(key, '"' + obs::json_escape(v) + '"');
   }
   Json& put(const std::string& key, const char* v) {
     return put(key, std::string(v));
@@ -103,14 +104,6 @@ class Json {
   Json& raw(const std::string& key, std::string rendered) {
     fields_.emplace_back(key, std::move(rendered));
     return *this;
-  }
-  static std::string escaped(const std::string& s) {
-    std::string out;
-    for (char c : s) {
-      if (c == '"' || c == '\\') out += '\\';
-      out += c;
-    }
-    return out;
   }
   std::vector<std::pair<std::string, std::string>> fields_;
 };

@@ -10,8 +10,9 @@
 //   ringstab emit       <file.ring>             round-trip to .ring source
 //   ringstab lint       <file.ring> [--json]    structured diagnostics
 //
-// The check/synthesize/lint output paths live in src/serve/exec.cpp and are
-// shared byte-for-byte with the ringstab-serve daemon (docs/serve.md).
+// The check/synthesize/lint/simulate output paths live in
+// src/serve/exec.cpp and are shared byte-for-byte with the ringstab-serve
+// daemon (docs/serve.md).
 #include <cstdlib>
 #include <cstring>
 #include <iomanip>
@@ -56,10 +57,10 @@ int usage() {
       "             enumeration; identical verdicts, ~K× fewer states)\n"
       "  sweep      cutoff verification: [--min K] [--max K]\n"
       "  dot        emit graphviz: --rcg (default), --ltg, --deadlock-rcg\n"
-      "  simulate   random-scheduler runs: -k <K> [--trials N] [--seed S]\n"
-      "             [--jobs N]; with --random, Monte Carlo convergence-time\n"
-      "             estimation under a probabilistic scheduler\n"
-      "             (docs/simulation.md): [--trajectories N] [--cap N]\n"
+      "  simulate   Monte Carlo convergence time (docs/simulation.md):\n"
+      "             -k <K> [--trials N] [--seed S] random starts under the\n"
+      "             uniform random daemon; with --random, under a\n"
+      "             probabilistic scheduler: [--trajectories N] [--cap N]\n"
       "             [--scheduler coin|weighted] [--coin P]\n"
       "             [--target invariant|one-token]\n"
       "             [--start random|zero|three]; bit-identical at every\n"
@@ -256,47 +257,43 @@ int cmd_trace(const Protocol& p, std::size_t k, std::uint64_t seed,
   return 1;
 }
 
-/// `simulate --random`: the Monte Carlo estimator, rendered by
-/// serve::render_simulate so the daemon's `simulate` verdicts are
-/// byte-identical to the CLI's.
-int cmd_simulate_random(const Protocol& p, int argc, char** argv,
-                        std::size_t jobs) {
+/// `simulate`: the Monte Carlo estimator, rendered by serve::render_simulate
+/// so the daemon's `simulate` verdicts are byte-identical to the CLI's.
+/// Without --random it samples the uniform interleaving daemon
+/// (kWeightedRandom with no weights) from --trials random starts, each
+/// capped at 1,000,000 steps.
+int cmd_estimate(const Protocol& p, int argc, char** argv, std::size_t jobs) {
   serve::RequestOptions opts;
   opts.jobs = jobs;
-  opts.trajectories = static_cast<std::size_t>(
-      arg_value(argc, argv, "--trajectories", 1000, 1, 100'000'000));
   opts.sim_seed = static_cast<std::uint64_t>(
       arg_value(argc, argv, "--seed", 1, 0,
                 std::numeric_limits<long long>::max()));
-  opts.round_cap = static_cast<std::size_t>(
-      arg_value(argc, argv, "--cap", 100'000, 1, 1'000'000'000));
-  if (const char* s = arg_string(argc, argv, "--scheduler"))
-    opts.scheduler = s;
-  if (const char* s = arg_string(argc, argv, "--target")) opts.target = s;
-  if (const char* s = arg_string(argc, argv, "--start")) opts.start = s;
-  if (const char* raw = arg_string(argc, argv, "--coin")) {
-    char* end = nullptr;
-    const double coin = std::strtod(raw, &end);
-    if (end == raw || *end != '\0' || !(coin >= 0.0 && coin <= 1.0))
-      throw ModelError(cat("invalid --coin value '", raw,
-                           "': expected a probability in [0, 1]"));
-    opts.coin = coin;
+  if (!has_flag(argc, argv, "--random")) {
+    opts.scheduler = "weighted";
+    opts.trajectories = static_cast<std::size_t>(
+        arg_value(argc, argv, "--trials", 100, 1, 1'000'000'000));
+    opts.round_cap = 1'000'000;
+  } else {
+    opts.trajectories = static_cast<std::size_t>(
+        arg_value(argc, argv, "--trajectories", 1000, 1, 100'000'000));
+    opts.round_cap = static_cast<std::size_t>(
+        arg_value(argc, argv, "--cap", 100'000, 1, 1'000'000'000));
+    if (const char* s = arg_string(argc, argv, "--scheduler"))
+      opts.scheduler = s;
+    if (const char* s = arg_string(argc, argv, "--target")) opts.target = s;
+    if (const char* s = arg_string(argc, argv, "--start")) opts.start = s;
+    if (const char* raw = arg_string(argc, argv, "--coin")) {
+      char* end = nullptr;
+      const double coin = std::strtod(raw, &end);
+      if (end == raw || *end != '\0' || !(coin >= 0.0 && coin <= 1.0))
+        throw ModelError(cat("invalid --coin value '", raw,
+                             "': expected a probability in [0, 1]"));
+      opts.coin = coin;
+    }
   }
   const auto k =
       static_cast<std::size_t>(arg_value(argc, argv, "-k", 8, 2, 4095));
   return serve::render_simulate(p, k, opts, std::cout);
-}
-
-int cmd_simulate(const Protocol& p, std::size_t k, std::size_t trials,
-                 std::uint64_t seed, std::size_t jobs) {
-  const auto stats = measure_convergence(p, k, trials, seed, 1'000'000,
-                                         Scheduler::kUniformRandom, jobs);
-  std::cout << p.name() << " at K=" << k << ", " << trials
-            << " random starts (seed " << seed << "):\n"
-            << "  converged: " << stats.converged << "/" << stats.trials
-            << "\n  mean steps: " << stats.mean_steps
-            << "\n  max steps:  " << stats.max_steps << "\n";
-  return stats.failed == 0 ? 0 : 1;
 }
 
 /// Command dispatch, separated from main() so the observability session can
@@ -366,16 +363,7 @@ int run(const std::string& command, int argc, char** argv) {
         static_cast<std::size_t>(
             arg_value(argc, argv, "--max", 200, 1, 1'000'000'000)));
   }
-  if (command == "simulate" && has_flag(argc, argv, "--random"))
-    return cmd_simulate_random(p, argc, argv, jobs);
-  if (command == "simulate")
-    return cmd_simulate(
-        p, static_cast<std::size_t>(arg_value(argc, argv, "-k", 8, 2, 63)),
-        static_cast<std::size_t>(
-            arg_value(argc, argv, "--trials", 100, 1, 1'000'000'000)),
-        static_cast<std::uint64_t>(arg_value(argc, argv, "--seed", 1, 0,
-                                             std::numeric_limits<long long>::max())),
-        jobs);
+  if (command == "simulate") return cmd_estimate(p, argc, argv, jobs);
   return usage();
 }
 

@@ -3,7 +3,9 @@
 #
 #   scripts/check.sh            full: build, ctest, TSan test_parallel+test_obs
 #                               +test_parallel_scc+test_symmetry
-#                               +test_synthesis_parallel+test_serve, ASan
+#                               +test_synthesis_parallel+test_serve
+#                               +test_herman+the report's thread-count
+#                               test, ASan
 #                               test_checker+test_parallel_scc+test_symmetry
 #                               +test_ring_instance+test_array+test_tree
 #                               +test_graph + CLI parsing/synthesis/lint
@@ -36,12 +38,12 @@ if [[ "$mode" != "--tsan" ]]; then
   fi
 fi
 
-echo "== TSan: build test_parallel + test_parallel_scc + test_symmetry + test_obs + test_synthesis_parallel + test_serve =="
+echo "== TSan: build test_parallel + test_parallel_scc + test_symmetry + test_obs + test_synthesis_parallel + test_serve + test_herman + test_report =="
 cmake -B "$repo/build-tsan" -S "$repo" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DRINGSTAB_SANITIZE=thread
 cmake --build "$repo/build-tsan" -j "$jobs" \
       --target test_parallel test_parallel_scc test_symmetry test_obs \
-               test_synthesis_parallel test_serve
+               test_synthesis_parallel test_serve test_herman test_report
 
 echo "== TSan: run =="
 "$repo/build-tsan/tests/test_parallel"
@@ -70,6 +72,14 @@ echo "== TSan: run =="
 # bit-identity sweep re-runs every engine at every K and takes minutes
 # under TSan; the remaining tests drive all the serve-side threading.
 "$repo/build-tsan/tests/test_serve" --gtest_filter='-ServeZooHeavy.*'
+# The Monte Carlo estimator's parallel_for: trajectories fan out over
+# the pool and write trajectory-indexed result slots, which one thread
+# folds in order. test_herman holds it to 1-vs-4-vs-7-lane bit identity;
+# the report test runs the simulated-recovery section and the checker at
+# 1 and 4 lanes.
+"$repo/build-tsan/tests/test_herman"
+"$repo/build-tsan/tests/test_report" \
+    --gtest_filter='Report.IdenticalAtEveryThreadCount'
 
 if [[ "$mode" == "--tsan" ]]; then
   echo "== OK (tsan mode: TSan stage only) =="

@@ -397,34 +397,9 @@ TrailReplay replay_trail(const Protocol& p, const ContiguousTrail& trail) {
   const auto& space = p.space();
   const std::size_t k = static_cast<std::size_t>(trail.implied_ring_size());
   res.ring_size = k;
-  if (k < static_cast<std::size_t>(space.locality().window()) || k < 2)
-    return res;  // kNotInstantiable
-  const int e = trail.num_enabled;
-  const int pp = trail.propagation;
-  const std::size_t round_len = static_cast<std::size_t>((e - 1) + 2 * pp);
-  if (trail.steps.size() < round_len || round_len == 0)
-    return res;
-
-  // Round-start ring, reconstructed exactly as realize_trail does.
-  std::vector<Value> ring(k, 0);
-  for (int i = 0; i < e; ++i) {
-    const LocalStateId v =
-        (i == 0) ? trail.steps[0].from
-                 : trail.steps[static_cast<std::size_t>(i - 1)].to;
-    ring[static_cast<std::size_t>(i)] = space.self(v);
-  }
-  for (int j = 0; j < pp; ++j) {
-    const std::size_t s_step = static_cast<std::size_t>((e - 1) + 2 * j + 1);
-    ring[static_cast<std::size_t>(e + j)] = space.self(trail.steps[s_step].to);
-  }
-  for (int i = 0; i < e; ++i) {
-    const LocalStateId expect =
-        (i == 0) ? trail.steps[0].from
-                 : trail.steps[static_cast<std::size_t>(i - 1)].to;
-    if (local_state_of(p, ring, static_cast<std::size_t>(i)) != expect)
-      return res;  // kNotInstantiable: windows inconsistent around the ring
-  }
-  const std::vector<Value> start = ring;
+  const auto start = trail.round_start_ring(p);
+  if (!start) return res;  // kNotInstantiable
+  std::vector<Value> ring = *start;
 
   // Walk the trail as the execution it shadows: the walk visits ring
   // positions left to right with wraparound — an s-arc moves the focus one
@@ -463,7 +438,7 @@ TrailReplay replay_trail(const Protocol& p, const ContiguousTrail& trail) {
   // final configuration must be the start configuration rotated by the
   // total s-arc drift — the livelock repeats shifted, not pinned.
   for (std::size_t i = 0; i < k; ++i) {
-    if (ring[(i + pos) % k] != start[i]) {
+    if (ring[(i + pos) % k] != (*start)[i]) {
       res.reason =
           "the trail's writes do not reproduce the start configuration "
           "(rotated by the walk's drift), so the walk does not close into "

@@ -37,6 +37,15 @@ std::size_t LintResult::count(Severity s) const {
 
 namespace {
 
+/// Per-pass cap on emitted findings (witness lists can be long).
+constexpr std::size_t kMaxDiagsPerPass = 8;
+/// RS011 reports deadlocked ring sizes up to this K.
+constexpr std::size_t kDeadlockSpectrumMaxK = 16;
+/// RS030 confirms local closure suspicions with a global sweep at
+/// K = window + 2 when the instance fits this many states; otherwise the
+/// suspicion downgrades to a note.
+constexpr std::uint64_t kClosureConfirmBudget = std::uint64_t{1} << 20;
+
 /// Routes pass findings into a LintResult: fills in the default file,
 /// applies `allow(...)` suppressions, enforces the per-pass cap, and bumps
 /// the emission counter.
@@ -54,7 +63,7 @@ class Collector {
       ++res_.suppressed;
       return;
     }
-    if (pass_count_ >= opts_.max_diags_per_pass) return;
+    if (pass_count_ >= kMaxDiagsPerPass) return;
     ++pass_count_;
     obs::counter("lint.diags_emitted").add(1);
     res_.diagnostics.push_back(std::move(d));
@@ -194,8 +203,7 @@ void pass_rs011(const Protocol& p, Collector& c, const LintOptions& opts) {
   c.begin_pass();
   if (opts.array_topology) {
     try {
-      const auto ada =
-          analyze_array_deadlocks(p, opts.deadlock_spectrum_max_k);
+      const auto ada = analyze_array_deadlocks(p, kDeadlockSpectrumMaxK);
       if (ada.deadlock_free_all_n) return;
       Diagnostic d;
       d.code = "RS011";
@@ -219,8 +227,7 @@ void pass_rs011(const Protocol& p, Collector& c, const LintOptions& opts) {
     return;
   }
   const auto da =
-      analyze_deadlocks(p, opts.deadlock_spectrum_max_k,
-                        std::max<std::size_t>(opts.max_diags_per_pass, 1));
+      analyze_deadlocks(p, kDeadlockSpectrumMaxK, kMaxDiagsPerPass);
   if (da.deadlock_free_all_k) return;
   const std::string sizes = render_sizes(da.deadlocked_sizes());
   for (const auto& cyc : da.bad_cycles) {
@@ -236,7 +243,7 @@ void pass_rs011(const Protocol& p, Collector& c, const LintOptions& opts) {
         it == cyc.end() ? "?" : p.space().brief(static_cast<LocalStateId>(*it)),
         ": rings built from it deadlock outside I (Theorem 4.2); affected "
         "sizes up to K=",
-        opts.deadlock_spectrum_max_k, ": ", sizes);
+        kDeadlockSpectrumMaxK, ": ", sizes);
     d.hint =
         "resolve the illegitimate deadlocks (`ringstab synthesize`), or mark "
         "intent with '# lint: allow(RS011)' if this file is a synthesis "
@@ -319,8 +326,8 @@ void pass_rs030(const Protocol& p, Collector& c, const LintOptions& opts,
   try {
     const RingInstance inst =
         opts.array_topology
-            ? RingInstance::array(p, k, opts.closure_confirm_budget)
-            : RingInstance(p, k, opts.closure_confirm_budget);
+            ? RingInstance::array(p, k, kClosureConfirmBudget)
+            : RingInstance(p, k, kClosureConfirmBudget);
     if (GlobalChecker(inst).check_closure())
       return;  // local suspicion not realizable
     Diagnostic d;
@@ -341,8 +348,9 @@ void pass_rs030(const Protocol& p, Collector& c, const LintOptions& opts,
         cat(cc.describe(p),
             "; could not be confirmed within the closure budget (instance "
             "exceeds ",
-            opts.closure_confirm_budget, " states)");
-    d.hint = "raise LintOptions::closure_confirm_budget to confirm";
+            kClosureConfirmBudget, " states)");
+    d.hint = cat("confirm with the exhaustive check, `ringstab check -k ", k,
+                 opts.array_topology ? " --array" : "", "`");
     c.emit(std::move(d));
   }
 }

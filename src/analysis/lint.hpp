@@ -52,14 +52,6 @@
 namespace ringstab {
 
 struct LintOptions {
-  /// Per-pass cap on emitted findings (witness lists can be long).
-  std::size_t max_diags_per_pass = 8;
-  /// RS011 reports deadlocked ring sizes up to this K.
-  std::size_t deadlock_spectrum_max_k = 16;
-  /// RS030 confirms local closure suspicions with a global sweep at
-  /// K = window + 2 when the instance fits this many states; otherwise the
-  /// suspicion downgrades to a note.
-  std::uint64_t closure_confirm_budget = std::uint64_t{1} << 20;
   /// Analyze as an open array (batch `# topology: array` convention):
   /// RS011 uses the array deadlock analysis and ring-only passes are
   /// skipped.

@@ -27,6 +27,11 @@ std::uint32_t GlobalChecker::rank_of(GlobalStateId s) const {
       static_cast<std::uint64_t>(std::popcount(~inv_mask_.word(w) & below)));
 }
 
+GlobalStateId GlobalChecker::state_of(std::uint32_t rank) const {
+  return select_ranked(word_rank_, rank,
+                       [&](std::uint64_t w) { return ~inv_mask_.word(w); });
+}
+
 void GlobalChecker::ensure_masks() const {
   if (census_done_) return;
   const GlobalStateId n = ring_->num_states();
@@ -91,7 +96,6 @@ void GlobalChecker::ensure_graph() const {
     throw CapacityError("fused engine: more than 2^32 states outside I");
 
   graph_.to_inv.assign(nni);
-  ni_ids_.assign(nni, 0);
   const std::uint64_t chunks = num_chunks(n, 0);
   struct ChunkGraph {
     std::vector<std::uint32_t> deg;  // per ¬I state of the chunk, ascending
@@ -133,7 +137,6 @@ void GlobalChecker::ensure_graph() const {
       // Rank-space bits are not chunk-word-aligned (chunks are 64-aligned
       // in *state* space), so neighbor chunks may share a to_inv word.
       if (into_inv) graph_.to_inv.set_atomic(r);
-      ni_ids_[r] = s;
       ++r;
     }
     swept.add(chunk.end - chunk.begin);
@@ -401,7 +404,7 @@ std::optional<std::vector<GlobalStateId>> GlobalChecker::find_livelock()
   if (!ranks) return std::nullopt;
   std::vector<GlobalStateId> cycle;
   cycle.reserve(ranks->size());
-  for (const std::uint32_t r : *ranks) cycle.push_back(ni_ids_[r]);
+  for (const std::uint32_t r : *ranks) cycle.push_back(state_of(r));
   return cycle;
 }
 
@@ -410,17 +413,19 @@ std::vector<GlobalStateId> GlobalChecker::livelock_states() const {
   if (acyclic_) return {};
   ensure_cyclic();
   const SccLabels& scc = cyclic_.scc;
+  // Walk the ¬I states in order, ranks alongside.
+  const GlobalStateId n = ring_->num_states();
   std::vector<GlobalStateId> out;
-  for (std::uint64_t w = 0; w < scc.nontrivial.num_words(); ++w) {
-    std::uint64_t word = scc.nontrivial.word(w) | scc.self_loop.word(w);
-    while (word) {
-      const std::uint64_t r =
-          w * 64 + static_cast<std::uint64_t>(std::countr_zero(word));
-      word &= word - 1;
-      out.push_back(ni_ids_[r]);
-    }
+  std::uint32_t r = 0;
+  for (GlobalStateId base = 0; base < n; base += 64) {
+    std::uint64_t word = ~inv_mask_.word(base >> 6);
+    if (n - base < 64) word &= (std::uint64_t{1} << (n - base)) - 1;
+    for (; word != 0; word &= word - 1, ++r)
+      if (scc.on_cycle(r))
+        out.push_back(base +
+                      static_cast<GlobalStateId>(std::countr_zero(word)));
   }
-  return out;  // ni_ids_ is ascending, so the result is sorted
+  return out;
 }
 
 bool GlobalChecker::check_closure(

@@ -196,6 +196,7 @@ class GlobalChecker {
   void ensure_acyclic() const;  // acyclic_verdict over the cached graph
   void ensure_cyclic() const;   // cyclic_verdict, only on a ¬I cycle
   std::uint32_t rank_of(GlobalStateId s) const;
+  GlobalStateId state_of(std::uint32_t rank) const;  // inverse of rank_of
 
   const RingInstance* ring_;
   std::size_t num_threads_;
@@ -207,11 +208,11 @@ class GlobalChecker {
   mutable std::vector<GlobalStateId> deadlock_samples_;  // first 8, ascending
 
   // Pass 2 products. State s outside I has rank = #{t < s : t outside I};
-  // word_rank_ holds the per-word prefix so rank_of() is one popcount.
+  // word_rank_ holds the per-word prefix so rank_of() is one popcount and
+  // state_of() one select over the ¬I words.
   mutable bool graph_built_ = false;
   mutable NotInvariantGraph graph_;
   mutable std::vector<std::uint64_t> word_rank_;
-  mutable std::vector<GlobalStateId> ni_ids_;  // rank -> global state id
   mutable bool closure_ok_ = true;
   mutable std::optional<std::pair<GlobalStateId, GlobalStateId>>
       closure_violation_;

@@ -52,16 +52,10 @@ class RankedNecklaces {
                std::popcount(bits_.word(id >> 6) & below));
   }
 
-  /// The member of rank r: the word whose prefix brackets r, then the
-  /// (r - prefix)-th set bit inside it.
+  /// The member of rank r.
   GlobalStateId select(std::uint32_t r) const {
-    const auto w = static_cast<std::uint64_t>(
-        std::upper_bound(word_rank_.begin(), word_rank_.end(), r) -
-        word_rank_.begin() - 1);
-    std::uint64_t word = bits_.word(w);
-    for (std::uint32_t skip = r - word_rank_[w]; skip > 0; --skip)
-      word &= word - 1;
-    return w * 64 + static_cast<std::uint64_t>(std::countr_zero(word));
+    return select_ranked(word_rank_, r,
+                         [&](std::uint64_t w) { return bits_.word(w); });
   }
 
  private:

@@ -22,41 +22,8 @@ TrailRealizationResult realize_trail(const Protocol& p,
   TrailRealizationResult res;
   const std::size_t k = static_cast<std::size_t>(trail.implied_ring_size());
   res.ring_size = k;
-  const auto& space = p.space();
-  if (k < static_cast<std::size_t>(space.locality().window()) || k < 2)
-    return res;
-
-  const int e = trail.num_enabled;
-  const int pp = trail.propagation;
-  RINGSTAB_ASSERT(trail.steps.size() >=
-                      static_cast<std::size_t>((e - 1) + 2 * pp),
-                  "trail shorter than one round");
-
-  // Local states at round start: processes 0..E-1 are the w1 segment
-  // (sources of the w1 s-arcs plus the firing vertex); processes E..K-1 are
-  // the first round's w2 s-arc targets (their windows after the write equal
-  // their round-start windows except for the incoming x value, whose own
-  // variable is unchanged — we only take self()).
-  std::vector<Value> ring(k, 0);
-  for (int i = 0; i < e; ++i) {
-    const LocalStateId v =
-        (i == 0) ? trail.steps[0].from : trail.steps[static_cast<std::size_t>(i - 1)].to;
-    ring[static_cast<std::size_t>(i)] = space.self(v);
-  }
-  for (int j = 0; j < pp; ++j) {
-    const std::size_t s_step = static_cast<std::size_t>((e - 1) + 2 * j + 1);
-    ring[static_cast<std::size_t>(e + j)] =
-        space.self(trail.steps[s_step].to);
-  }
-
-  // Consistency: the segment processes' windows must be the w1 vertices.
-  for (int i = 0; i < e; ++i) {
-    const LocalStateId expect =
-        (i == 0) ? trail.steps[0].from : trail.steps[static_cast<std::size_t>(i - 1)].to;
-    if (local_state_of(p, ring, static_cast<std::size_t>(i)) != expect)
-      return res;  // kNotInstantiable
-  }
-  res.start_state = ring;
+  res.start_state = trail.round_start_ring(p);
+  if (!res.start_state) return res;  // kNotInstantiable
 
   const RingInstance inst(p, k);
   const GlobalChecker checker(inst, num_threads);
@@ -65,7 +32,7 @@ TrailRealizationResult realize_trail(const Protocol& p,
     res.verdict = TrailRealization::kSpurious;
     return res;
   }
-  const GlobalStateId s = inst.encode(ring);
+  const GlobalStateId s = inst.encode(*res.start_state);
   res.verdict = std::binary_search(livelock_states.begin(),
                                    livelock_states.end(), s)
                     ? TrailRealization::kRealized

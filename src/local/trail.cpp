@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "core/fmt.hpp"
+#include "local/precedence.hpp"
 #include "local/pseudo_livelock.hpp"
 
 namespace ringstab {
@@ -201,6 +202,35 @@ class TrailSearch {
 };
 
 }  // namespace
+
+std::optional<std::vector<Value>> ContiguousTrail::round_start_ring(
+    const Protocol& p) const {
+  const auto& space = p.space();
+  const auto k = static_cast<std::size_t>(implied_ring_size());
+  if (k < static_cast<std::size_t>(space.locality().window()) || k < 2)
+    return std::nullopt;
+  const int e = num_enabled;
+  if (steps.size() < static_cast<std::size_t>((e - 1) + 2 * propagation))
+    return std::nullopt;
+  // The w1 vertex of segment process i: the first step's source, then the
+  // targets of the w1 s-arcs.
+  const auto w1 = [&](int i) {
+    return i == 0 ? steps[0].from : steps[static_cast<std::size_t>(i - 1)].to;
+  };
+  // The w2 s-arc targets' windows after the write equal their round-start
+  // windows except for the incoming x value, whose own variable is
+  // unchanged, so only self() is taken.
+  std::vector<Value> ring(k, 0);
+  for (int i = 0; i < e; ++i)
+    ring[static_cast<std::size_t>(i)] = space.self(w1(i));
+  for (int j = 0; j < propagation; ++j)
+    ring[static_cast<std::size_t>(e + j)] =
+        space.self(steps[static_cast<std::size_t>((e - 1) + 2 * j + 1)].to);
+  for (int i = 0; i < e; ++i)
+    if (local_state_of(p, ring, static_cast<std::size_t>(i)) != w1(i))
+      return std::nullopt;
+  return ring;
+}
 
 std::string ContiguousTrail::to_string(const Protocol& p) const {
   const auto& space = p.space();

@@ -33,6 +33,14 @@ struct ContiguousTrail {
 
   int implied_ring_size() const { return num_enabled + propagation; }
 
+  /// The round-start global state on a ring of implied_ring_size()
+  /// processes: processes 0..|E|-1 hold the w1 segment (sources of the w1
+  /// s-arcs plus the firing vertex), processes |E|..K-1 the first round's
+  /// w2 s-arc targets. nullopt when the trail is not instantiable: K is
+  /// below 2 or the window, the trail is shorter than one round, or the
+  /// segment's windows around the ring are not its w1 vertices.
+  std::optional<std::vector<Value>> round_start_ring(const Protocol& p) const;
+
   /// "02 —t#4→ 01 ⇢ 11 ⇢ 11 —t#2→ 10 ⇢ 02  (|E|=2, P=1, K=3)"
   std::string to_string(const Protocol& p) const;
 };

@@ -14,6 +14,7 @@
 // disabled are simply not counted.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstdint>
@@ -156,5 +157,21 @@ class PackedBitset {
   std::vector<std::uint64_t> words_;
   std::uint64_t reported_ = 0;  // bytes currently counted in the gauge
 };
+
+/// Select over a ranked bit set: `prefix[w]` counts the members in words
+/// [0, w) (words + 1 entries) and `word(w)` yields word w's member bits.
+/// The position of the member of rank r < prefix.back(): the word whose
+/// prefix brackets r, then the (r - prefix[w])-th set bit inside it. Bits
+/// past the last member of a word are never read, so `word` may leave the
+/// tail of the final word unmasked.
+template <typename Prefix, typename WordFn>
+std::uint64_t select_ranked(const std::vector<Prefix>& prefix,
+                            std::uint64_t r, const WordFn& word) {
+  const auto w = static_cast<std::uint64_t>(
+      std::upper_bound(prefix.begin(), prefix.end(), r) - prefix.begin() - 1);
+  std::uint64_t bits = word(w);
+  for (std::uint64_t skip = r - prefix[w]; skip > 0; --skip) bits &= bits - 1;
+  return w * 64 + static_cast<std::uint64_t>(std::countr_zero(bits));
+}
 
 }  // namespace ringstab

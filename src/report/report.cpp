@@ -129,16 +129,15 @@ void ring_report(const Protocol& p, const ReportOptions& opt,
   // Simulation.
   if (opt.sim_trials > 0) {
     timer.measure("report.simulation", [&] {
-      const auto stats =
-          measure_convergence(p, opt.sim_ring, opt.sim_trials, opt.sim_seed,
-                              1'000'000, Scheduler::kUniformRandom,
-                              opt.num_threads);
+      EstimateOptions eo = uniform_daemon_batch(opt.sim_trials, opt.sim_seed);
+      eo.num_threads = opt.num_threads;
+      const auto est = estimate_convergence_rounds(p, opt.sim_ring, eo);
       os << "## Simulated recovery (K=" << opt.sim_ring << ", "
          << opt.sim_trials << " random starts)\n\n"
-         << "converged " << stats.converged << "/" << stats.trials
-         << ", steps: mean " << stats.mean_steps << ", p50 "
-         << stats.p50_steps << ", p95 " << stats.p95_steps << ", max "
-         << stats.max_steps << "\n\n";
+         << "converged " << est.converged << "/" << est.trajectories
+         << ", steps: mean " << est.mean_rounds << ", p50 "
+         << est.p50_rounds << ", p95 " << est.p95_rounds << ", max "
+         << est.max_rounds << "\n\n";
     });
   }
 }

@@ -22,8 +22,10 @@ struct ReportOptions {
   /// Treat the protocol under the array convention instead of a ring.
   bool array_topology = false;
 
-  /// Worker threads for the exhaustive and simulation sections (1 = serial
-  /// engine, 0 = all cores).
+  /// Worker threads for the exhaustive and simulation sections (0 and 1
+  /// run serially; the CLI resolves --jobs 0 to all cores). Execution
+  /// advice only: every section but the timing table reads the same at
+  /// every count.
   std::size_t num_threads = 1;
 
   /// Append a per-section wall-clock table ("## Section timings").

@@ -4,6 +4,7 @@
 #include <bit>
 #include <ostream>
 #include <sstream>
+#include <type_traits>
 
 #include "analysis/lint.hpp"
 #include "core/parser.hpp"
@@ -354,24 +355,20 @@ std::string cache_key(const Request& req) {
   key.push_back(cmd_tag(req.cmd));
   memo_append_u64(key, req.k);
   // Result-affecting options only: `jobs` never changes a verdict (every
-  // engine is bit-identical at any thread count), so it stays out.
-  key.push_back(req.options.symmetry ? 1 : 0);
-  key.push_back(req.options.all ? 1 : 0);
-  key.push_back(req.options.json ? 1 : 0);
-  key.push_back(req.options.lint ? 1 : 0);
-  key.push_back(req.options.werror ? 1 : 0);
-  key.push_back(req.options.synth ? 1 : 0);
-  memo_append_u64(key, req.options.check_k);
-  // Monte Carlo options: every field changes the sampled estimate, so every
-  // field is identity. The coin keys on its exact IEEE-754 bits.
-  memo_append_u64(key, req.options.trajectories);
-  memo_append_u64(key, req.options.sim_seed);
-  memo_append_u64(key, req.options.round_cap);
-  memo_append_u64(key, std::bit_cast<std::uint64_t>(req.options.coin));
-  memo_append_u64(key, req.options.sim_k);
-  memo_append_str(key, req.options.scheduler);
-  memo_append_str(key, req.options.target);
-  memo_append_str(key, req.options.start);
+  // engine is bit-identical at any thread count), so it stays out. Every
+  // other field is identity; the coin keys on its exact IEEE-754 bits.
+  for_each_option_field([&](const auto& field) {
+    const auto& v = req.options.*field.member;
+    using T = std::remove_cvref_t<decltype(v)>;
+    if constexpr (std::is_same_v<T, bool>)
+      key.push_back(v ? 1 : 0);
+    else if constexpr (std::is_same_v<T, double>)
+      memo_append_u64(key, std::bit_cast<std::uint64_t>(v));
+    else if constexpr (std::is_same_v<T, std::string>)
+      memo_append_str(key, v);
+    else if (static_cast<const void*>(&v) != &req.options.jobs)
+      memo_append_u64(key, v);
+  });
   // `name` is rendered into the output (lint summary lines, parse-error
   // prefixes, batch rows), so it is part of the verdict's identity.
   memo_append_str(key, req.name);

@@ -17,6 +17,7 @@
 #include <iosfwd>
 #include <memory>
 #include <string>
+#include <tuple>
 
 #include "analysis/lint.hpp"
 #include "core/protocol.hpp"
@@ -50,6 +51,42 @@ struct RequestOptions {
   std::string start = "random";      // "random" | "zero" | "three"
   std::size_t sim_k = 0;  // analyze: Monte Carlo probe ring size (0 = off)
 };
+
+/// One RequestOptions member and its name in the wire's "options" object;
+/// its default is the member's initializer above.
+template <typename T>
+struct OptionField {
+  const char* wire;
+  T RequestOptions::*member;
+};
+
+/// Every RequestOptions field, in wire order: the one list the codec
+/// (encode_request, decode_request) and cache_key walk, so a field added
+/// here is encoded, decoded and keyed together.
+inline constexpr std::tuple kOptionFields{
+    OptionField<std::size_t>{"jobs", &RequestOptions::jobs},
+    OptionField<bool>{"symmetry", &RequestOptions::symmetry},
+    OptionField<bool>{"all", &RequestOptions::all},
+    OptionField<bool>{"json", &RequestOptions::json},
+    OptionField<bool>{"lint", &RequestOptions::lint},
+    OptionField<bool>{"werror", &RequestOptions::werror},
+    OptionField<bool>{"synth", &RequestOptions::synth},
+    OptionField<std::size_t>{"check_k", &RequestOptions::check_k},
+    OptionField<std::size_t>{"trajectories", &RequestOptions::trajectories},
+    OptionField<std::uint64_t>{"seed", &RequestOptions::sim_seed},
+    OptionField<std::size_t>{"cap", &RequestOptions::round_cap},
+    OptionField<double>{"coin", &RequestOptions::coin},
+    OptionField<std::string>{"scheduler", &RequestOptions::scheduler},
+    OptionField<std::string>{"target", &RequestOptions::target},
+    OptionField<std::string>{"start", &RequestOptions::start},
+    OptionField<std::size_t>{"sim_k", &RequestOptions::sim_k},
+};
+
+/// Call `f(field)` on each entry of kOptionFields, in order.
+template <typename F>
+void for_each_option_field(F&& f) {
+  std::apply([&](const auto&... field) { (f(field), ...); }, kOptionFields);
+}
 
 /// One JSONL request: `{"cmd":..., "source":..., "k":..., "options":...}`.
 struct Request {

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <limits>
+#include <type_traits>
 
 #include "core/types.hpp"
 #include "obs/metrics_json.hpp"
@@ -12,7 +13,7 @@ namespace {
 
 using obs::json::Value;
 
-std::size_t as_size(const Value& v, const char* key) {
+std::size_t as_size(const Value& v, const std::string& key) {
   if (!v.is_number())
     throw ModelError(std::string("serve wire: field '") + key +
                      "' must be a non-negative integer");
@@ -25,21 +26,21 @@ std::size_t as_size(const Value& v, const char* key) {
   return static_cast<std::size_t>(raw);
 }
 
-bool as_bool(const Value& v, const char* key) {
+bool as_bool(const Value& v, const std::string& key) {
   if (v.kind != Value::Kind::Bool)
     throw ModelError(std::string("serve wire: field '") + key +
                      "' must be a boolean");
   return v.boolean;
 }
 
-std::string as_string(const Value& v, const char* key) {
+std::string as_string(const Value& v, const std::string& key) {
   if (!v.is_string())
     throw ModelError(std::string("serve wire: field '") + key +
                      "' must be a string");
   return v.str;
 }
 
-double as_probability(const Value& v, const char* key) {
+double as_probability(const Value& v, const std::string& key) {
   if (!v.is_number())
     throw ModelError(std::string("serve wire: field '") + key +
                      "' must be a number");
@@ -58,6 +59,32 @@ Value number_double(double d) {
   return Value::number_raw(buf);
 }
 
+/// One option's wire value, by the member's type.
+template <typename T>
+Value option_value(const T& v) {
+  if constexpr (std::is_same_v<T, bool>)
+    return Value::boolean_v(v);
+  else if constexpr (std::is_same_v<T, double>)
+    return number_double(v);
+  else if constexpr (std::is_same_v<T, std::string>)
+    return Value::string(v);
+  else
+    return Value::number_u64(v);
+}
+
+/// Decode one option into its member's type; `key` names it in errors.
+template <typename T>
+T option_from(const Value& v, const std::string& key) {
+  if constexpr (std::is_same_v<T, bool>)
+    return as_bool(v, key);
+  else if constexpr (std::is_same_v<T, double>)
+    return as_probability(v, key);
+  else if constexpr (std::is_same_v<T, std::string>)
+    return as_string(v, key);
+  else
+    return static_cast<T>(as_size(v, key));
+}
+
 }  // namespace
 
 std::string encode_request(const Request& req) {
@@ -66,33 +93,14 @@ std::string encode_request(const Request& req) {
   doc.add("source", Value::string(req.source));
   if (!req.name.empty()) doc.add("name", Value::string(req.name));
   if (req.k != 0) doc.add("k", Value::number_u64(req.k));
+  // Defaults are elided from the frame and restored on decode.
+  const RequestOptions defaults;
   Value options = Value::object();
-  if (req.options.jobs != 1)
-    options.add("jobs", Value::number_u64(req.options.jobs));
-  if (req.options.symmetry) options.add("symmetry", Value::boolean_v(true));
-  if (req.options.all) options.add("all", Value::boolean_v(true));
-  if (req.options.json) options.add("json", Value::boolean_v(true));
-  if (req.options.lint) options.add("lint", Value::boolean_v(true));
-  if (req.options.werror) options.add("werror", Value::boolean_v(true));
-  if (req.options.synth) options.add("synth", Value::boolean_v(true));
-  if (req.options.check_k != 0)
-    options.add("check_k", Value::number_u64(req.options.check_k));
-  if (req.options.trajectories != 1000)
-    options.add("trajectories", Value::number_u64(req.options.trajectories));
-  if (req.options.sim_seed != 1)
-    options.add("seed", Value::number_u64(req.options.sim_seed));
-  if (req.options.round_cap != 100'000)
-    options.add("cap", Value::number_u64(req.options.round_cap));
-  if (req.options.coin != 0.5)
-    options.add("coin", number_double(req.options.coin));
-  if (req.options.scheduler != "coin")
-    options.add("scheduler", Value::string(req.options.scheduler));
-  if (req.options.target != "invariant")
-    options.add("target", Value::string(req.options.target));
-  if (req.options.start != "random")
-    options.add("start", Value::string(req.options.start));
-  if (req.options.sim_k != 0)
-    options.add("sim_k", Value::number_u64(req.options.sim_k));
+  for_each_option_field([&](const auto& field) {
+    const auto& v = req.options.*field.member;
+    if (v != defaults.*field.member)
+      options.add(field.wire, option_value(v));
+  });
   if (!options.members.empty()) doc.add("options", std::move(options));
   return obs::json::dump(doc);
 }
@@ -124,39 +132,15 @@ Request decode_request(const std::string& line) {
       if (!value.is_object())
         throw ModelError("serve wire: field 'options' must be an object");
       for (const auto& [opt, v] : value.members) {
-        if (opt == "jobs")
-          req.options.jobs = as_size(v, "options.jobs");
-        else if (opt == "symmetry")
-          req.options.symmetry = as_bool(v, "options.symmetry");
-        else if (opt == "all")
-          req.options.all = as_bool(v, "options.all");
-        else if (opt == "json")
-          req.options.json = as_bool(v, "options.json");
-        else if (opt == "lint")
-          req.options.lint = as_bool(v, "options.lint");
-        else if (opt == "werror")
-          req.options.werror = as_bool(v, "options.werror");
-        else if (opt == "synth")
-          req.options.synth = as_bool(v, "options.synth");
-        else if (opt == "check_k")
-          req.options.check_k = as_size(v, "options.check_k");
-        else if (opt == "trajectories")
-          req.options.trajectories = as_size(v, "options.trajectories");
-        else if (opt == "seed")
-          req.options.sim_seed = as_size(v, "options.seed");
-        else if (opt == "cap")
-          req.options.round_cap = as_size(v, "options.cap");
-        else if (opt == "coin")
-          req.options.coin = as_probability(v, "options.coin");
-        else if (opt == "scheduler")
-          req.options.scheduler = as_string(v, "options.scheduler");
-        else if (opt == "target")
-          req.options.target = as_string(v, "options.target");
-        else if (opt == "start")
-          req.options.start = as_string(v, "options.start");
-        else if (opt == "sim_k")
-          req.options.sim_k = as_size(v, "options.sim_k");
-        else
+        bool known = false;
+        for_each_option_field([&](const auto& field) {
+          if (opt != field.wire) return;
+          known = true;
+          auto& member = req.options.*field.member;
+          member = option_from<std::remove_reference_t<decltype(member)>>(
+              v, "options." + opt);
+        });
+        if (!known)
           throw ModelError("serve wire: unknown option '" + opt + "'");
       }
     } else {

@@ -47,11 +47,6 @@ void Simulator::randomize() {
   for (auto& v : state_) v = static_cast<Value>(dist(rng_));
 }
 
-void Simulator::reseed(std::uint64_t seed) {
-  rng_.seed(seed);
-  rr_cursor_ = 0;
-}
-
 void Simulator::inject_faults(std::size_t count) {
   count = std::min(count, state_.size());
   std::vector<std::size_t> idx(state_.size());
@@ -140,79 +135,6 @@ Simulator::RunResult Simulator::run_to_convergence(std::size_t max_steps) {
   }
   res.converged = in_invariant();
   return res;
-}
-
-namespace {
-
-// splitmix64: cheap, well-mixed per-trial seed derivation.
-std::uint64_t mix_seed(std::uint64_t seed, std::uint64_t trial) {
-  std::uint64_t z = seed + (trial + 1) * 0x9e3779b97f4a7c15ull;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
-
-ConvergenceStats measure_convergence(const Protocol& p, std::size_t ring_size,
-                                     std::size_t trials, std::uint64_t seed,
-                                     std::size_t step_cap, Scheduler scheduler,
-                                     std::size_t num_threads) {
-  ConvergenceStats stats;
-  stats.trials = trials;
-  const obs::Span span("sim.measure_convergence");
-  obs::Counter& trials_ctr = obs::counter("sim.trials");
-  obs::Counter& steps_ctr = obs::counter("sim.steps");
-  std::vector<Simulator::RunResult> runs(trials);
-  if (num_threads <= 1) {
-    // Seed-engine behavior: one RNG stream threads through every trial.
-    Simulator sim(p, ring_size, seed, scheduler);
-    for (std::size_t t = 0; t < trials; ++t) {
-      sim.randomize();
-      runs[t] = sim.run_to_convergence(step_cap);
-      trials_ctr.add(1);
-      steps_ctr.add(runs[t].steps);
-    }
-  } else {
-    // One independent stream per trial, assigned by trial index — the
-    // result slots are aggregated in trial order below, so the stats are
-    // identical for every parallel thread count.
-    parallel_for(trials, num_threads, 64,
-                 [&](const ChunkRange& chunk, std::size_t) {
-      Simulator sim(p, ring_size, seed, scheduler);
-      std::uint64_t chunk_steps = 0;
-      for (std::size_t t = chunk.begin; t < chunk.end; ++t) {
-        sim.reseed(mix_seed(seed, t));
-        sim.randomize();
-        runs[t] = sim.run_to_convergence(step_cap);
-        chunk_steps += runs[t].steps;
-      }
-      trials_ctr.add(chunk.end - chunk.begin);
-      steps_ctr.add(chunk_steps);
-    });
-  }
-  double total = 0;
-  std::vector<std::size_t> steps;
-  steps.reserve(trials);
-  for (const auto& run : runs) {
-    if (run.converged) {
-      ++stats.converged;
-      total += static_cast<double>(run.steps);
-      stats.max_steps = std::max(stats.max_steps, run.steps);
-      steps.push_back(run.steps);
-    } else {
-      ++stats.failed;
-    }
-  }
-  obs::counter("sim.converged").add(stats.converged);
-  stats.mean_steps = stats.converged ? total / stats.converged : 0.0;
-  if (!steps.empty()) {
-    std::sort(steps.begin(), steps.end());
-    stats.p50_steps = steps[steps.size() / 2];
-    stats.p95_steps = steps[std::min(steps.size() - 1,
-                                     steps.size() * 95 / 100)];
-  }
-  return stats;
 }
 
 // ── Monte Carlo expected-convergence-time estimation ──
@@ -370,6 +292,15 @@ TrajectoryResult run_weighted(const SlotTable& tab, std::size_t step_cap,
 
 }  // namespace
 
+EstimateOptions uniform_daemon_batch(std::size_t trials, std::uint64_t seed) {
+  EstimateOptions eo;
+  eo.scheduler = Scheduler::kWeightedRandom;
+  eo.seed = seed;
+  eo.trajectories = trials;
+  eo.round_cap = 1'000'000;
+  return eo;
+}
+
 ConvergenceEstimate estimate_convergence_rounds(const Protocol& p,
                                                 std::size_t ring_size,
                                                 const EstimateOptions& opts) {
@@ -382,7 +313,7 @@ ConvergenceEstimate estimate_convergence_rounds(const Protocol& p,
   if (interleaving(opts.scheduler))
     throw ModelError(
         "estimate_convergence_rounds runs the probabilistic schedulers "
-        "(kSynchronousCoin, kWeightedRandom); use measure_convergence for "
+        "(kSynchronousCoin, kWeightedRandom); step a Simulator for the "
         "interleaving daemons");
   if (opts.start == StartKind::kThreeTokens) {
     if (ring_size % 2 == 0)

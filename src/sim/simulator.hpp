@@ -31,7 +31,8 @@ enum class Scheduler {
                      // Herman's randomized token ring.
   kWeightedRandom,   // interleaving: one enabled (process, transition) pair
                      // per step, drawn with probability ∝ its transition
-                     // weight (uniform when no weights are given)
+                     // weight; with no weights, kUniformRandom's
+                     // distribution, so batches of that daemon run here
 };
 
 /// When a trajectory counts as converged.
@@ -51,10 +52,12 @@ enum class StartKind {
                  // K and |D| ≥ 2 required
 };
 
-/// Executes a concrete ring under an interleaving scheduler (one enabled
-/// process fires one of its enabled transitions per step). Deterministic
-/// per (seed, scheduler). Rejects the probabilistic schedulers — those
-/// have no single-step semantics here; use estimate_convergence_rounds.
+/// Executes one trajectory of a concrete ring under an interleaving
+/// scheduler (one enabled process fires one of its enabled transitions per
+/// step): `trace`, fault injection, and the round-robin and leftmost
+/// daemons. Deterministic per (seed, scheduler). Rejects the probabilistic
+/// schedulers — those have no single-step semantics here; use
+/// estimate_convergence_rounds, which also runs batches of random starts.
 class Simulator {
  public:
   Simulator(Protocol protocol, std::size_t ring_size, std::uint64_t seed = 1,
@@ -66,11 +69,6 @@ class Simulator {
 
   /// Uniformly random global state.
   void randomize();
-
-  /// Restart the RNG stream and scheduler cursor, as if freshly constructed
-  /// with `seed`. Lets batch drivers reuse one Simulator across trials with
-  /// per-trial seeds.
-  void reseed(std::uint64_t seed);
 
   /// Transient faults: corrupt `count` distinct variables to random values.
   void inject_faults(std::size_t count);
@@ -97,31 +95,6 @@ class Simulator {
   std::size_t rr_cursor_ = 0;  // round-robin scan position
 };
 
-/// Aggregate recovery statistics over repeated randomized trials.
-struct ConvergenceStats {
-  std::size_t trials = 0;
-  std::size_t converged = 0;
-  std::size_t failed = 0;  // hit the step cap or deadlocked outside I
-  double mean_steps = 0.0;
-  std::size_t max_steps = 0;
-  std::size_t p50_steps = 0;  // median over converged runs
-  std::size_t p95_steps = 0;
-};
-
-/// `num_threads <= 1` reproduces the seed engine exactly: one Simulator,
-/// one RNG stream across all trials. `num_threads > 1` distributes trials
-/// over the shared pool with an independent, splitmix-derived RNG stream
-/// per trial; those stats are deterministic for a given (seed, trials) at
-/// ANY parallel thread count, but are a different (equally valid) sample
-/// than the serial stream. Interleaving schedulers only.
-ConvergenceStats measure_convergence(const Protocol& p, std::size_t ring_size,
-                                     std::size_t trials,
-                                     std::uint64_t seed = 1,
-                                     std::size_t step_cap = 1'000'000,
-                                     Scheduler scheduler =
-                                         Scheduler::kUniformRandom,
-                                     std::size_t num_threads = 1);
-
 // ── Monte Carlo expected-convergence-time estimation ──
 
 /// Options for estimate_convergence_rounds. Everything except
@@ -144,6 +117,11 @@ struct EstimateOptions {
   /// positive sum when given.
   std::vector<double> weights;
 };
+
+/// Batches of `trials` random starts under the uniform interleaving daemon
+/// (kUniformRandom's distribution): kWeightedRandom with no weights, target
+/// kInvariant, a kRandom start and a 1,000,000-step cap per trajectory.
+EstimateOptions uniform_daemon_batch(std::size_t trials, std::uint64_t seed);
 
 /// The estimate. Mean/stddev/CI/percentiles are over *converged*
 /// trajectories; `censored` counts trajectories that hit the round cap or
@@ -176,7 +154,7 @@ struct ConvergenceEstimate {
 /// results are folded in trajectory order, so the estimate is a pure
 /// function of (protocol, ring_size, options − num_threads): bit-identical
 /// at every thread count. Throws ModelError for interleaving-daemon
-/// schedulers (use measure_convergence) and invalid options.
+/// schedulers (step a Simulator instead) and invalid options.
 ConvergenceEstimate estimate_convergence_rounds(
     const Protocol& p, std::size_t ring_size,
     const EstimateOptions& opts = {});

@@ -15,6 +15,9 @@
 namespace ringstab {
 namespace {
 
+/// The input's closure of I is spot-checked globally at this array length.
+constexpr std::size_t kClosureCheckLength = 5;
+
 // A bad walk: s_0 (left-boundary deadlock) → ... → s_m, all deadlocks not
 // in `removed`, interior states ⊥-free, visiting some illegitimate state.
 // Returns a shortest witness (BFS) or nullopt.
@@ -120,12 +123,11 @@ ArraySynthesisResult synthesize_array_convergence(
   if (!is_self_disabling(p))
     throw ModelError("array synthesis requires a self-disabling input");
 
-  if (options.closure_check_length >= 2 &&
-      !GlobalChecker(RingInstance::array(p, options.closure_check_length))
+  if (!GlobalChecker(RingInstance::array(p, kClosureCheckLength))
            .check_closure())
     throw ModelError(cat("input invariant is not closed (witnessed at array "
                          "length ",
-                         options.closure_check_length, ")"));
+                         kClosureCheckLength, ")"));
 
   ArraySynthesisResult res;
   obs::Counter& generated = obs::counter("synth.candidates_generated");

@@ -21,8 +21,6 @@ struct ArraySynthesisOptions {
   std::size_t max_resolve_sets = 64;
   std::size_t max_candidate_sets = 4096;  // per Resolve set
   std::size_t max_solutions = 64;
-  /// Spot-check closure of I globally at this array length (0 = skip).
-  std::size_t closure_check_length = 5;
 
   /// Portfolio execution (DESIGN.md §10): pool lanes building and verifying
   /// candidates. 1 = serial; 0 = all hardware lanes. Results are

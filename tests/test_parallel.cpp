@@ -12,7 +12,6 @@
 #include "helpers.hpp"
 #include "parallel/bitset.hpp"
 #include "parallel/thread_pool.hpp"
-#include "sim/simulator.hpp"
 
 namespace ringstab {
 namespace {
@@ -243,20 +242,6 @@ TEST(ParallelSymmetry, CensusOnlySweepMatchesFullResult) {
           << p.name();
     }
   }
-}
-
-TEST(ParallelSimulator, BatchStatsDeterministicAcrossThreadCounts) {
-  const Protocol p = testing::protocol_zoo().front();
-  const auto two = measure_convergence(p, 8, 64, 7, 10'000,
-                                       Scheduler::kUniformRandom, 2);
-  const auto four = measure_convergence(p, 8, 64, 7, 10'000,
-                                        Scheduler::kUniformRandom, 4);
-  EXPECT_EQ(two.converged, four.converged);
-  EXPECT_EQ(two.failed, four.failed);
-  EXPECT_EQ(two.max_steps, four.max_steps);
-  EXPECT_EQ(two.p50_steps, four.p50_steps);
-  EXPECT_EQ(two.p95_steps, four.p95_steps);
-  EXPECT_DOUBLE_EQ(two.mean_steps, four.mean_steps);
 }
 
 }  // namespace

@@ -68,5 +68,19 @@ TEST(Report, EveryZooProtocolProducesAReport) {
   }
 }
 
+TEST(Report, IdenticalAtEveryThreadCount) {
+  // The thread count is execution advice: with the wall-clock table off,
+  // the exhaustive and simulated-recovery sections read the same bytes.
+  ReportOptions opts;
+  opts.max_ring = 5;
+  opts.section_timings = false;
+  const Protocol p = protocols::sum_not_two_solution();
+  opts.num_threads = 1;
+  const std::string serial = markdown_report(p, opts);
+  opts.num_threads = 4;
+  EXPECT_EQ(markdown_report(p, opts), serial);
+  EXPECT_NE(serial.find("## Simulated recovery"), std::string::npos);
+}
+
 }  // namespace
 }  // namespace ringstab

@@ -18,8 +18,13 @@ TEST(Schedulers, CertifiedProtocolsConvergeUnderEveryDaemon) {
        {protocols::agreement_one_sided(true),
         protocols::sum_not_two_solution()}) {
     for (Scheduler sched : kAll) {
-      const auto stats = measure_convergence(p, 16, 100, 5, 100000, sched);
-      EXPECT_EQ(stats.failed, 0u)
+      Simulator sim(p, 16, 5, sched);
+      std::size_t failed = 0;
+      for (int trial = 0; trial < 100; ++trial) {
+        sim.randomize();
+        if (!sim.run_to_convergence(100000).converged) ++failed;
+      }
+      EXPECT_EQ(failed, 0u)
           << p.name() << " scheduler " << static_cast<int>(sched);
     }
   }
@@ -67,11 +72,11 @@ TEST(Schedulers, RoundRobinBoundsUnfairness) {
 }
 
 TEST(Schedulers, StatsIncludePercentiles) {
-  const auto stats =
-      measure_convergence(protocols::sum_not_two_solution(), 24, 200, 9);
-  EXPECT_LE(stats.p50_steps, stats.p95_steps);
-  EXPECT_LE(stats.p95_steps, stats.max_steps);
-  EXPECT_GT(stats.p50_steps, 0u);
+  const auto est = estimate_convergence_rounds(
+      protocols::sum_not_two_solution(), 24, uniform_daemon_batch(200, 9));
+  EXPECT_LE(est.p50_rounds, est.p95_rounds);
+  EXPECT_LE(est.p95_rounds, est.max_rounds);
+  EXPECT_GT(est.p50_rounds, 0u);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "helpers.hpp"
 #include "protocols/agreement.hpp"
 #include "protocols/sum_not_two.hpp"
@@ -90,21 +92,55 @@ TEST(Simulator, RecoversFromInjectedFaults) {
   }
 }
 
-TEST(Simulator, MeasureConvergenceAggregates) {
-  const auto stats =
-      measure_convergence(protocols::agreement_one_sided(true), 8, 50, 21);
-  EXPECT_EQ(stats.trials, 50u);
-  EXPECT_EQ(stats.converged + stats.failed, 50u);
-  EXPECT_EQ(stats.failed, 0u);
-  EXPECT_LE(stats.mean_steps, static_cast<double>(stats.max_steps));
-  EXPECT_LE(stats.max_steps, 7u);  // worst case K-1
+TEST(Simulator, UniformBatchAggregates) {
+  const auto est = estimate_convergence_rounds(
+      protocols::agreement_one_sided(true), 8, uniform_daemon_batch(50, 21));
+  EXPECT_EQ(est.trajectories, 50u);
+  EXPECT_EQ(est.converged + est.censored, 50u);
+  EXPECT_EQ(est.censored, 0u);
+  EXPECT_LE(est.mean_rounds, static_cast<double>(est.max_rounds));
+  EXPECT_LE(est.max_rounds, 7u);  // worst case K-1
 }
 
 TEST(Simulator, NonConvergingProtocolCanFail) {
   // Empty coloring deadlocks outside I immediately from a bad state.
-  const auto stats = measure_convergence(protocols::agreement_empty(), 6, 50, 2,
-                                         1000);
-  EXPECT_GT(stats.failed, 0u);
+  EstimateOptions eo = uniform_daemon_batch(50, 2);
+  eo.round_cap = 1000;
+  const auto est =
+      estimate_convergence_rounds(protocols::agreement_empty(), 6, eo);
+  EXPECT_GT(est.censored, 0u);
+}
+
+TEST(Simulator, UniformBatchSamplesTheSimulatorsDaemon) {
+  // kWeightedRandom with no weights draws one enabled (process, transition)
+  // pair uniformly per step, as Simulator's kUniformRandom does, so the two
+  // mean recovery times from uniform random starts agree within sampling
+  // error: here within 4 standard errors of their difference.
+  const Protocol p = protocols::sum_not_two_solution();
+  constexpr std::size_t kRing = 16;
+  constexpr std::size_t kTrials = 2000;
+  Simulator sim(p, kRing, 17);
+  double sum = 0.0, sq = 0.0;
+  for (std::size_t t = 0; t < kTrials; ++t) {
+    sim.randomize();
+    const auto run = sim.run_to_convergence();
+    ASSERT_TRUE(run.converged);
+    const auto steps = static_cast<double>(run.steps);
+    sum += steps;
+    sq += steps * steps;
+  }
+  const double n = static_cast<double>(kTrials);
+  const double loop_mean = sum / n;
+  const double loop_var = (sq - n * loop_mean * loop_mean) / (n - 1);
+  const auto est =
+      estimate_convergence_rounds(p, kRing, uniform_daemon_batch(kTrials, 17));
+  ASSERT_EQ(est.converged, kTrials);
+  const double se = std::sqrt(loop_var / n + est.stddev_rounds *
+                                                 est.stddev_rounds / n);
+  EXPECT_GT(se, 0.0);
+  EXPECT_LE(std::abs(est.mean_rounds - loop_mean), 4.0 * se)
+      << "estimator mean " << est.mean_rounds << ", Simulator mean "
+      << loop_mean;
 }
 
 }  // namespace
