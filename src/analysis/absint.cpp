@@ -489,11 +489,8 @@ StaticRejectionLane::StaticRejectionLane(const Protocol& skeleton,
   // |E| = 1 trail — true under the default require flags and under weaker
   // ones — and (b) consider every t-arc. A whitelist or a starved node
   // budget voids that; the ill-formedness screen stays on regardless.
-  trail_certificates_ = query.t_arc_whitelist.empty() &&
-                        query.node_budget >= 1'000'000 &&
-                        (query.max_enabled == 0 || query.max_enabled >= 1) &&
-                        (query.max_propagation == 0 ||
-                         query.max_propagation >= 1);
+  trail_certificates_ =
+      query.t_arc_whitelist.empty() && query.node_budget >= 1'000'000;
 }
 
 std::optional<StaticRejectionLane::Rejection> StaticRejectionLane::refute(

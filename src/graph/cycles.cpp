@@ -7,17 +7,28 @@
 namespace ringstab {
 namespace {
 
+/// A run walks at most max(max_cycles, this) cycles, kept or not, so a
+/// graph whose cycles mostly avoid the marked vertices cannot stall
+/// simple_cycles_through.
+constexpr std::size_t kMaxWalkedCycles = 100'000;
+
 // Johnson's simple-cycle enumeration, recursion bounded by vertex count.
+// With `marked`, only cycles through a marked vertex are kept, and only
+// they count toward `max_cycles`.
 class Johnson {
  public:
-  Johnson(const Digraph& g, std::size_t max_cycles)
-      : g_(g), max_cycles_(max_cycles) {}
+  Johnson(const Digraph& g, const std::vector<bool>* marked,
+          std::size_t max_cycles)
+      : g_(g),
+        marked_(marked),
+        max_cycles_(max_cycles),
+        max_walked_(std::max(max_cycles, kMaxWalkedCycles)) {}
 
   std::vector<Cycle> run() {
     const std::size_t n = g_.num_vertices();
     blocked_.assign(n, false);
     block_list_.assign(n, {});
-    for (VertexId s = 0; s < n && cycles_.size() < max_cycles_; ++s) {
+    for (VertexId s = 0; s < n && !done(); ++s) {
       start_ = s;
       std::fill(blocked_.begin(), blocked_.end(), false);
       for (auto& b : block_list_) b.clear();
@@ -39,12 +50,13 @@ class Johnson {
     for (VertexId w : g_.out(v)) {
       if (w < start_) continue;  // canonical: cycles start at min vertex
       if (w == start_) {
-        if (cycles_.size() < max_cycles_) cycles_.push_back(path_);
+        ++walked_;
+        if (through_marked()) cycles_.push_back(path_);
         found = true;
       } else if (!blocked_[w]) {
         if (circuit(w)) found = true;
       }
-      if (cycles_.size() >= max_cycles_) break;
+      if (done()) break;
     }
     if (found) {
       unblock(v);
@@ -59,6 +71,16 @@ class Johnson {
     return found;
   }
 
+  bool done() const {
+    return cycles_.size() >= max_cycles_ || walked_ >= max_walked_;
+  }
+
+  bool through_marked() const {
+    return marked_ == nullptr ||
+           std::any_of(path_.begin(), path_.end(),
+                       [&](VertexId v) { return (*marked_)[v]; });
+  }
+
   void unblock(VertexId v) {
     blocked_[v] = false;
     auto pending = std::move(block_list_[v]);
@@ -68,7 +90,10 @@ class Johnson {
   }
 
   const Digraph& g_;
+  const std::vector<bool>* marked_;
   std::size_t max_cycles_;
+  std::size_t max_walked_;
+  std::size_t walked_ = 0;
   VertexId start_ = 0;
   std::vector<bool> blocked_;
   std::vector<std::vector<VertexId>> block_list_;
@@ -128,18 +153,13 @@ bool find_cycle_through(const Digraph& g, VertexId v,
 }
 
 std::vector<Cycle> simple_cycles(const Digraph& g, std::size_t max_cycles) {
-  return Johnson(g, max_cycles).run();
+  return Johnson(g, nullptr, max_cycles).run();
 }
 
 std::vector<Cycle> simple_cycles_through(const Digraph& g,
                                          const std::vector<bool>& marked,
                                          std::size_t max_cycles) {
-  auto all = simple_cycles(g, max_cycles);
-  std::vector<Cycle> out;
-  for (auto& c : all)
-    if (std::any_of(c.begin(), c.end(), [&](VertexId v) { return marked[v]; }))
-      out.push_back(std::move(c));
-  return out;
+  return Johnson(g, &marked, max_cycles).run();
 }
 
 }  // namespace ringstab

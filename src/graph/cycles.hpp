@@ -39,7 +39,11 @@ bool find_cycle_through(const Digraph& g, VertexId v,
 std::vector<Cycle> simple_cycles(const Digraph& g,
                                  std::size_t max_cycles = 100000);
 
-/// Cycles passing through at least one marked vertex.
+/// Cycles passing through at least one marked vertex: the first
+/// `max_cycles` of them in simple_cycles' search order, returned like it.
+/// The search walks at most max(max_cycles, 100,000) cycles in all, so on
+/// a graph whose cycles mostly avoid the marked vertices the list can come
+/// back short instead of stalling.
 std::vector<Cycle> simple_cycles_through(const Digraph& g,
                                          const std::vector<bool>& marked,
                                          std::size_t max_cycles = 100000);

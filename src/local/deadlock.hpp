@@ -21,7 +21,9 @@ struct DeadlockAnalysis {
   std::vector<LocalStateId> local_deadlocks;
   std::vector<LocalStateId> illegitimate_deadlocks;
 
-  /// Simple cycles through illegitimate deadlocks (empty iff free). Capped.
+  /// Simple cycles through illegitimate deadlocks, at most `max_cycles`.
+  /// Empty when free; when not, short (even empty) only if the search hits
+  /// simple_cycles_through's walk budget first.
   std::vector<Cycle> bad_cycles;
 
   /// feasible[K] ⇒ a globally deadlocked ring of size K outside I exists

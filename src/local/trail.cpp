@@ -56,15 +56,11 @@ class TrailSearch {
     if (num_allowed == 0) return res;  // no t-arcs → no trail
 
     // P t-arcs per round are distinct, so P ≤ |allowed t-arcs| is exhaustive.
-    const int max_p = q_.max_propagation > 0
-                          ? q_.max_propagation
-                          : static_cast<int>(num_allowed);
+    const int max_p = static_cast<int>(num_allowed);
     // |E|−1 s-arcs per round lie between enabled states, all distinct, so
     // |E| ≤ (#enabled · |D|) + 1 is exhaustive.
     const int max_e =
-        q_.max_enabled > 0
-            ? q_.max_enabled
-            : static_cast<int>(num_enabled_states_ * p.domain().size()) + 1;
+        static_cast<int>(num_enabled_states_ * p.domain().size()) + 1;
     res.max_enabled_used = max_e;
     res.max_propagation_used = max_p;
 

@@ -45,10 +45,11 @@ struct ContiguousTrail {
   std::string to_string(const Protocol& p) const;
 };
 
-/// Search configuration. Default bounds are exhaustive in P (a round's P
-/// t-arcs are distinct, so P ≤ |δ_r|) and generous in |E|; the search
-/// reports kInconclusive rather than kNoTrail if a bound or the node budget
-/// was hit, so "no trail" verdicts are trustworthy.
+/// Search configuration. The bounds on P and |E| are exhaustive (a round's
+/// P t-arcs are distinct, so P ≤ |δ_r|; its |E|−1 s-arcs are distinct
+/// arcs between enabled states); the search reports kInconclusive rather
+/// than kNoTrail if the node budget was hit, so "no trail" verdicts are
+/// trustworthy.
 struct TrailQuery {
   /// Restrict t-arcs to these delta() indices (empty = all of δ_r).
   std::vector<std::size_t> t_arc_whitelist;
@@ -59,8 +60,6 @@ struct TrailQuery {
   /// (their write projection is a union of value cycles).
   bool require_pseudo_livelock = true;
 
-  int max_enabled = 0;      // 0 = automatic (see above)
-  int max_propagation = 0;  // 0 = automatic (|δ_r|)
   std::size_t node_budget = 16'000'000;  // ~1s worst case; enough for
                                          // 3-layer products (≈4.2M nodes)
 
@@ -73,7 +72,7 @@ struct TrailQuery {
 
 enum class TrailSearchStatus {
   kNoTrail,       // exhaustive: no qualifying trail exists (within bounds
-                  // that are provably sufficient or explicitly configured)
+                  // that are provably sufficient)
   kTrailFound,    // witness in `trail`
   kInconclusive,  // node budget exhausted before the space was covered
 };

@@ -20,6 +20,14 @@
 namespace ringstab {
 namespace {
 
+/// The exhaustive sections check sizes kMinRing..max_ring, each under this
+/// state budget ("over budget" rows above it).
+constexpr std::size_t kMinRing = 2;
+constexpr GlobalStateId kMaxStates = GlobalStateId{1} << 22;
+/// The simulated-recovery section's ring size and seed.
+constexpr std::size_t kSimRing = 16;
+constexpr std::uint64_t kSimSeed = 1;
+
 /// Wall-clock per report section, on the obs monotonic clock (always on —
 /// the timing table is part of the report, independent of --stats/--trace).
 class SectionTimer {
@@ -105,9 +113,9 @@ void ring_report(const Protocol& p, const ReportOptions& opt,
     os << "## Exhaustive spot checks\n\n"
        << "| K | states | necklaces | deadlocks outside I | livelock | "
           "strong self-stabilization |\n|---|---|---|---|---|---|\n";
-    for (std::size_t k = opt.min_ring; k <= opt.max_ring; ++k) {
+    for (std::size_t k = kMinRing; k <= opt.max_ring; ++k) {
       try {
-        const RingInstance ring(p, k, opt.max_states);
+        const RingInstance ring(p, k, kMaxStates);
         const auto res = GlobalChecker(ring, opt.num_threads).check_all();
         const auto census = necklace_census(ring, 0, opt.num_threads);
         os << "| " << k << " | " << res.num_states << " | "
@@ -129,10 +137,10 @@ void ring_report(const Protocol& p, const ReportOptions& opt,
   // Simulation.
   if (opt.sim_trials > 0) {
     timer.measure("report.simulation", [&] {
-      EstimateOptions eo = uniform_daemon_batch(opt.sim_trials, opt.sim_seed);
+      EstimateOptions eo = uniform_daemon_batch(opt.sim_trials, kSimSeed);
       eo.num_threads = opt.num_threads;
-      const auto est = estimate_convergence_rounds(p, opt.sim_ring, eo);
-      os << "## Simulated recovery (K=" << opt.sim_ring << ", "
+      const auto est = estimate_convergence_rounds(p, kSimRing, eo);
+      os << "## Simulated recovery (K=" << kSimRing << ", "
          << opt.sim_trials << " random starts)\n\n"
          << "converged " << est.converged << "/" << est.trajectories
          << ", steps: mean " << est.mean_rounds << ", p50 "
@@ -163,9 +171,9 @@ void array_report(const Protocol& p, const ReportOptions& opt,
     os << "\n## Exhaustive spot checks\n\n"
        << "| n | states | deadlocks outside I | livelock | terminates "
           "|\n|---|---|---|---|---|\n";
-    for (std::size_t n = opt.min_ring; n <= opt.max_ring; ++n) {
+    for (std::size_t n = kMinRing; n <= opt.max_ring; ++n) {
       try {
-        const RingInstance inst = RingInstance::array(p, n, opt.max_states);
+        const RingInstance inst = RingInstance::array(p, n, kMaxStates);
         const auto check = GlobalChecker(inst, opt.num_threads).check_all();
         os << "| " << n << " | " << inst.num_states() << " | "
            << check.num_deadlocks_outside_i << " | "

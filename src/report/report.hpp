@@ -8,16 +8,13 @@
 namespace ringstab {
 
 struct ReportOptions {
-  /// Spot-check sizes for the exhaustive cross-validation section (skipped
-  /// for instances over the state budget).
-  std::size_t min_ring = 2;
+  /// Largest size for the exhaustive cross-validation section, which
+  /// checks sizes 2..max_ring (skipping instances over 2^22 states).
   std::size_t max_ring = 7;
-  GlobalStateId max_states = GlobalStateId{1} << 22;
 
-  /// Random-scheduler simulation section (0 trials = skip).
+  /// Random starts for the simulated-recovery section on a ring of 16
+  /// (0 = skip).
   std::size_t sim_trials = 200;
-  std::size_t sim_ring = 16;
-  std::uint64_t sim_seed = 1;
 
   /// Treat the protocol under the array convention instead of a ring.
   bool array_topology = false;

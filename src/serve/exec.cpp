@@ -351,7 +351,12 @@ void memo_append_str(std::string& key, const std::string& s) {
 }  // namespace
 
 std::string cache_key(const Request& req) {
+  // The options take about 100 bytes with their default strings; reserving
+  // them with the name and source spares the appends' reallocations.
+  constexpr std::size_t kOptionBytes = 160;
   std::string key;
+  key.reserve(1 + 8 + kOptionBytes + 8 + req.name.size() + 8 +
+              req.source.size());
   key.push_back(cmd_tag(req.cmd));
   memo_append_u64(key, req.k);
   // Result-affecting options only: `jobs` never changes a verdict (every

@@ -5,8 +5,9 @@
 // every reachable deadlock legitimate. The ring methodology's feedback-set
 // step becomes a PATH-CUT step — Resolve must intersect every "bad walk"
 // (a chain of local deadlocks from a left-boundary state through some ¬LC
-// state), and then any self-disabling candidate transitions complete the
-// synthesis with no livelock check needed at all.
+// state). The minimal such set is unique and one BFS finds it; then any
+// self-disabling candidate transitions complete the synthesis with no
+// livelock check needed at all.
 #pragma once
 
 #include <optional>
@@ -18,13 +19,9 @@
 namespace ringstab {
 
 struct ArraySynthesisOptions {
-  std::size_t max_resolve_sets = 64;
-  std::size_t max_candidate_sets = 4096;  // per Resolve set
-  std::size_t max_solutions = 64;
-
   /// Portfolio execution (DESIGN.md §10): pool lanes building and verifying
-  /// candidates. 1 = serial; 0 = all hardware lanes. Results are
-  /// bit-identical at any thread count.
+  /// candidates. 0 and 1 run serially (the CLI resolves --jobs 0 to all
+  /// hardware lanes). Results are bit-identical at any thread count.
   std::size_t num_threads = 1;
 };
 
@@ -36,7 +33,9 @@ struct ArraySynthesisSolution {
 
 struct ArraySynthesisResult {
   bool success = false;
-  std::vector<ArraySynthesisSolution> solutions;
+  std::vector<ArraySynthesisSolution> solutions;  // at most 64
+  /// One entry: the unique minimal Resolve set (empty when no bad walk
+  /// exists).
   std::vector<std::vector<LocalStateId>> resolve_sets;
   std::size_t candidates_examined = 0;
 
@@ -44,7 +43,7 @@ struct ArraySynthesisResult {
 };
 
 /// Synthesize convergence for every array length. Requires a unidirectional
-/// locality (left span ≥ 1, right span 0) and the array modeling convention
+/// locality (left span 1, right span 0) and the array modeling convention
 /// (domain's last value = ⊥); throws ModelError otherwise, or if the
 /// closure spot-check fails.
 ArraySynthesisResult synthesize_array_convergence(

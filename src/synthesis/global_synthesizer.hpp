@@ -29,8 +29,9 @@ struct GlobalSynthesisOptions {
   bool prefilter_with_theorem42 = false;
 
   /// Portfolio execution (DESIGN.md §10): pool lanes evaluating candidates
-  /// (each candidate's K sweep stays serial inside its lane). 1 = serial;
-  /// 0 = all hardware lanes. Results are bit-identical at any thread count.
+  /// (each candidate's K sweep stays serial inside its lane). 0 and 1 run
+  /// serially (the CLI resolves --jobs 0 to all hardware lanes). Results
+  /// are bit-identical at any thread count.
   std::size_t num_threads = 1;
 
   /// Cache each candidate's full fixed-K verdict (+ the states it cost) in

@@ -32,8 +32,9 @@ struct SynthesisOptions {
   bool classify_rejected_trails = true;
 
   /// Portfolio execution (DESIGN.md §10): pool lanes used to evaluate
-  /// candidate sets. 1 = serial; 0 = all hardware lanes. Results — solution
-  /// order, reports, counters — are bit-identical at every thread count.
+  /// candidate sets. 0 and 1 run serially (the CLI resolves --jobs 0 to all
+  /// hardware lanes). Results — solution order, reports, counters — are
+  /// bit-identical at every thread count.
   std::size_t num_threads = 1;
 
   /// Reuse verdicts across candidates through a VerdictMemo: candidates

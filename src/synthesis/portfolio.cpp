@@ -48,8 +48,6 @@ void memo_append_query(std::string& key, const TrailQuery& query) {
   for (std::size_t idx : query.t_arc_whitelist) memo_append_u64(key, idx);
   key.push_back(query.require_illegitimate ? 1 : 0);
   key.push_back(query.require_pseudo_livelock ? 1 : 0);
-  memo_append_u32(key, static_cast<std::uint32_t>(query.max_enabled));
-  memo_append_u32(key, static_cast<std::uint32_t>(query.max_propagation));
   memo_append_u64(key, query.node_budget);
   key.push_back(query.ablation_disable_cycle_prune ? 1 : 0);
 }

@@ -165,7 +165,7 @@ std::string memo_key_npl(const Protocol& p);
 std::string memo_key_protocol(char kind, const Protocol& p);
 
 /// Append every TrailQuery field to `key` (trail verdicts depend on the
-/// query's bounds and filters as much as on the protocol).
+/// query's budget and filters as much as on the protocol).
 void memo_append_query(std::string& key, const TrailQuery& query);
 
 /// Merge-loop control for run_portfolio.

@@ -92,7 +92,7 @@ Protocol random_protocol(std::mt19937_64& rng,
 
 Protocol random_array_protocol(std::mt19937_64& rng,
                                const RandomArrayOptions& opts) {
-  const std::size_t real = 2 + rng() % 2;  // 2..3 real values
+  const std::size_t real = 2 + rng() % (opts.max_real - 1);
   std::vector<std::string> names;
   for (std::size_t i = 0; i < real; ++i) names.push_back(std::to_string(i));
   names.push_back("B");

@@ -30,12 +30,13 @@ Protocol random_protocol(std::mt19937_64& rng,
                          const RandomProtocolOptions& opts = {});
 
 /// Deterministic random array-convention protocols (the domain's last value
-/// is ⊥, local/array.hpp): 2..3 real values, a random legitimacy mask, and
-/// transitions only from illegitimate states with a real self value, so I
-/// stays closed.
+/// is ⊥, local/array.hpp): 2..max_real real values, a random legitimacy
+/// mask, and transitions only from illegitimate states with a real self
+/// value, so I stays closed.
 struct RandomArrayOptions {
   bool bidirectional = false;  // reads -1 .. 1 instead of -1 .. 0
   bool self_disabling = true;  // drop every transition whose target fires
+  std::size_t max_real = 3;    // at least 2
 };
 
 Protocol random_array_protocol(std::mt19937_64& rng,
@@ -76,6 +77,14 @@ ReferenceResult reference_check(const RingInstance& ring);
 std::vector<std::vector<VertexId>> reference_minimal_feedback_sets(
     const Digraph& g, const std::vector<bool>& marked,
     const std::vector<bool>& candidates, std::size_t max_sets = 256);
+
+/// The array synthesizer's first Resolve-set search
+/// (synthesize_array_convergence): a recursive hitting-set enumerator that
+/// BFS-searches for a bad walk, branches on its ¬LC_r states, and keeps the
+/// inclusion-minimal sets, sorted by size then lexicographically and capped
+/// at `max_sets`. The synthesizer's one-BFS Resolve set is held to it.
+std::vector<std::vector<LocalStateId>> reference_array_resolve_sets(
+    const Protocol& p, std::size_t max_sets = 64);
 
 /// True iff removing `removed` from `g` leaves no cycle through a marked
 /// vertex: the induced subgraph and a Tarjan pass.

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "core/builder.hpp"
 #include "global/checker.hpp"
 #include "helpers.hpp"
@@ -88,6 +90,38 @@ TEST(ArraySynthesis, RejectsNonClosedInvariant) {
   b.action("leak", [](const LocalView& v) { return v[-1] == 0 && v[0] == 0; },
            [](const LocalView&) { return Value{1}; });
   EXPECT_THROW(synthesize_array_convergence(b.build()), ModelError);
+}
+
+// The Resolve set is one BFS; the first implementation enumerated minimal
+// hitting sets of the bad walks. They agree, and there is exactly one set.
+void expect_reference_resolve_set(const Protocol& p) {
+  const auto reference = testing::reference_array_resolve_sets(p);
+  ASSERT_EQ(reference.size(), 1u) << p.name();
+  const auto res = synthesize_array_convergence(p);
+  EXPECT_EQ(res.resolve_sets, reference) << p.name();
+  EXPECT_LE(res.solutions.size(), 64u) << p.name();
+  EXPECT_EQ(res.candidates_examined, res.solutions.size()) << p.name();
+  for (const auto& sol : res.solutions)
+    EXPECT_EQ(sol.resolve, reference[0]) << p.name();
+}
+
+TEST(ArraySynthesis, ResolveSetMatchesReferenceOnArrayProtocols) {
+  for (const Protocol& p :
+       {protocols::array_agreement(2), protocols::array_agreement(3),
+        protocols::array_sort(2), protocols::array_sort(3),
+        protocols::array_two_coloring(),
+        protocols::array_two_coloring_broken()}) {
+    expect_reference_resolve_set(p);
+    expect_reference_resolve_set(empty_input(p, p.name() + "_in"));
+  }
+}
+
+TEST(ArraySynthesis, ResolveSetMatchesReferenceOnRandomArrays) {
+  std::mt19937_64 rng(24);
+  testing::RandomArrayOptions opts;
+  opts.max_real = 6;
+  for (int i = 0; i < 2000; ++i)
+    expect_reference_resolve_set(testing::random_array_protocol(rng, opts));
 }
 
 // Already-converging input: the empty addition is the unique solution.

@@ -6,6 +6,7 @@
 #include "protocols/agreement.hpp"
 #include "protocols/coloring.hpp"
 #include "protocols/matching.hpp"
+#include "protocols/sum_not_two.hpp"
 
 namespace ringstab {
 namespace {
@@ -40,6 +41,19 @@ TEST(Deadlock, MatchingNonGeneralizableBadCycles) {
   std::sort(lengths.begin(), lengths.end());
   EXPECT_EQ(lengths, (std::vector<std::size_t>{4, 6}));
   EXPECT_TRUE(lls_on_all) << "both cycles include ⟨left,left,self⟩";
+}
+
+// Only cycles through a ¬LC_r deadlock count toward the cap: sum-not-two's
+// empty skeleton has 138 of them, so the default cap of 64 fills up.
+TEST(Deadlock, BadCycleCapCountsOnlyBadCycles) {
+  const Protocol p = protocols::sum_not_two_empty();
+  const auto res = analyze_deadlocks(p);
+  EXPECT_EQ(res.bad_cycles.size(), 64u);
+  for (const auto& c : res.bad_cycles)
+    EXPECT_TRUE(std::any_of(c.begin(), c.end(), [&](LocalStateId s) {
+      return !p.is_legit(s);
+    }));
+  EXPECT_EQ(analyze_deadlocks(p, 64, 1000).bad_cycles.size(), 138u);
 }
 
 // The walk spectrum must agree with exhaustive global checking — including

@@ -196,6 +196,37 @@ TEST(Cycles, ThroughMarkedFilters) {
   EXPECT_EQ(cycles[0], (Cycle{2, 3}));
 }
 
+TEST(Cycles, ThroughMarkedCapCountsOnlyMarkedCycles) {
+  // Johnson's order reaches the unmarked cycle {0, 1} first; it must not
+  // use up the cap.
+  Digraph g(4);
+  g.add_arc(0, 1);
+  g.add_arc(1, 0);
+  g.add_arc(2, 3);
+  g.add_arc(3, 2);
+  std::vector<bool> marked{false, false, true, false};
+  const auto cycles = simple_cycles_through(g, marked, 1);
+  ASSERT_EQ(cycles.size(), 1u);
+  EXPECT_EQ(cycles[0], (Cycle{2, 3}));
+}
+
+TEST(Cycles, ThroughMarkedWalkIsBounded) {
+  // A complete digraph on 0..11 has 119,481,284 cycles, none through the
+  // marked 12, and the search reaches 108,505,111 of them before the first
+  // through 12. The walk budget stops it there (in milliseconds instead of
+  // seconds): the list comes back short.
+  Digraph g(13);
+  for (VertexId u = 0; u < 12; ++u)
+    for (VertexId v = 0; v < 12; ++v)
+      if (u != v) g.add_arc(u, v);
+  g.add_arc(0, 12);
+  g.add_arc(12, 0);
+  g.add_arc(12, 12);
+  std::vector<bool> marked(13, false);
+  marked[12] = true;
+  EXPECT_TRUE(simple_cycles_through(g, marked, 64).empty());
+}
+
 TEST(Feedback, SingleCycleAllVerticesAreMinimalSets) {
   Digraph g = ring_graph(3);
   std::vector<bool> all(3, true);
