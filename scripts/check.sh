@@ -8,12 +8,14 @@
 #                               test, ASan
 #                               test_checker+test_parallel_scc+test_symmetry
 #                               +test_ring_instance+test_array+test_tree
-#                               +test_graph+test_array_synthesis + CLI
+#                               +test_graph+test_deadlock+test_lint
+#                               +test_synthesis+test_array_synthesis + CLI
 #                               parsing/synthesis/lint tests, UBSan
 #                               core/local/analysis test binaries
 #                               +test_checker+test_parallel_scc+test_symmetry
 #                               +test_ring_instance+test_array+test_tree
-#                               +test_graph+test_array_synthesis
+#                               +test_graph+test_synthesis
+#                               +test_array_synthesis
 #   scripts/check.sh --fast     tier-1 only (skip the sanitizer builds)
 #   scripts/check.sh --tsan     TSan stage only (the CI tsan job's recipe)
 #
@@ -87,13 +89,14 @@ if [[ "$mode" == "--tsan" ]]; then
   exit 0
 fi
 
-echo "== ASan: build test_checker + test_parallel_scc + test_symmetry + instance tests + test_graph + test_array_synthesis + CLI tools =="
+echo "== ASan: build test_checker + test_parallel_scc + test_symmetry + instance tests + test_graph + test_deadlock + test_lint + test_synthesis + test_array_synthesis + CLI tools =="
 cmake -B "$repo/build-asan" -S "$repo" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DRINGSTAB_SANITIZE=address
 cmake --build "$repo/build-asan" -j "$jobs" \
       --target test_checker test_parallel_scc test_symmetry \
                test_ring_instance test_array test_tree test_graph \
-               test_array_synthesis ringstab_cli ringstab_batch
+               test_deadlock test_lint test_synthesis test_array_synthesis \
+               ringstab_cli ringstab_batch
 
 echo "== ASan: run =="
 # The acyclic and Tarjan passes index the rank arrays from explicit stacks;
@@ -108,9 +111,16 @@ echo "== ASan: run =="
 "$repo/build-asan/tests/test_array"
 "$repo/build-asan/tests/test_tree"
 # The Resolve-set search reads its memo's removal sets as spans of one
-# growing arena and reuses the cycle DFS's buffers across graphs; test_graph
-# holds it to its reference on graphs of 2 to 200,000 vertices.
+# growing arena and stamps its fewest-marked-cycle probe's visits in buffers
+# reused across graphs; test_graph holds it to its reference on graphs of 2
+# to 200,000 vertices, and test_synthesis drives it through the local and
+# global synthesizers.
 "$repo/build-asan/tests/test_graph"
+"$repo/build-asan/tests/test_synthesis"
+# The bad-cycle enumeration skips start vertices by a per-SCC table;
+# test_deadlock and test_lint drive it on every protocol and lint fixture.
+"$repo/build-asan/tests/test_deadlock"
+"$repo/build-asan/tests/test_lint"
 # The array synthesizer's Resolve-set BFS and its candidate odometer index
 # per-state vectors; test_array_synthesis holds the BFS to the reference
 # enumerator on the array protocols and 2,000 random arrays.
@@ -118,14 +128,14 @@ echo "== ASan: run =="
 ctest --test-dir "$repo/build-asan" --output-on-failure -j "$jobs" \
       -R 'cli_(bad_k|negative_k|missing_flag_value|flag_value_flag|batch_missing_value|check_symmetry|batch_symmetry|bad_jobs|synth_alias|synthesize_jobs|synthesize_bad_jobs|batch_synth|lint|lint_json|lint_error|batch_lint)'
 
-echo "== UBSan: build core/local/analysis + checker + quotient + instance + graph + array synthesis test binaries =="
+echo "== UBSan: build core/local/analysis + checker + quotient + instance + graph + synthesis test binaries =="
 cmake -B "$repo/build-ubsan" -S "$repo" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DRINGSTAB_SANITIZE=undefined
 cmake --build "$repo/build-ubsan" -j "$jobs" \
       --target test_domain test_local_state test_protocol test_parser \
                test_deadlock test_livelock test_lint test_checker \
                test_parallel_scc test_symmetry test_ring_instance test_array \
-               test_tree test_graph test_array_synthesis
+               test_tree test_graph test_synthesis test_array_synthesis
 
 echo "== UBSan: run =="
 # Recovery is disabled in the build, so any UB aborts the stage. The
@@ -136,14 +146,15 @@ echo "== UBSan: run =="
 # word prefix, and the census's bit writes from slot chunks whose id ranges
 # are not 64-aligned. test_ring_instance, test_array and test_tree drive
 # the array and tree index tables, whose out-of-range offsets read the ⊥
-# slot. test_graph drives the Resolve-set search's memo arena and the
-# cycle DFS's reused buffers on graphs of 2 to 200,000 vertices.
+# slot. test_graph drives the Resolve-set search's memo arena and its
+# probe's generation stamps, wrap included, on graphs of 2 to 200,000
+# vertices; test_synthesis drives the search through both synthesizers.
 # test_array_synthesis drives the array Resolve-set BFS and the candidate
 # odometer's decode.
 for t in test_domain test_local_state test_protocol test_parser \
          test_deadlock test_livelock test_lint test_checker \
          test_parallel_scc test_symmetry test_ring_instance test_array \
-         test_tree test_graph test_array_synthesis; do
+         test_tree test_graph test_synthesis test_array_synthesis; do
   "$repo/build-ubsan/tests/$t"
 done
 

@@ -28,7 +28,20 @@ class Johnson {
     const std::size_t n = g_.num_vertices();
     blocked_.assign(n, false);
     block_list_.assign(n, {});
+    // A cycle whose least vertex is s lies in s's SCC, above s. With
+    // `marked`, s starts no kept cycle unless that SCC holds a marked vertex
+    // at or above s, so such starts are skipped: they would only spend the
+    // walk budget on cycles nobody keeps.
+    SccResult scc;
+    std::vector<VertexId> marked_end;  // per SCC: its largest marked vertex + 1
+    if (marked_ != nullptr) {
+      scc = strongly_connected_components(g_);
+      marked_end.assign(scc.num_components, 0);
+      for (VertexId v = 0; v < n; ++v)
+        if ((*marked_)[v]) marked_end[scc.component[v]] = v + 1;
+    }
     for (VertexId s = 0; s < n && !done(); ++s) {
+      if (marked_ != nullptr && marked_end[scc.component[s]] <= s) continue;
       start_ = s;
       std::fill(blocked_.begin(), blocked_.end(), false);
       for (auto& b : block_list_) b.clear();
@@ -103,30 +116,17 @@ class Johnson {
 
 }  // namespace
 
+// DFS from each successor of v back to v, avoiding revisits.
 std::optional<Cycle> find_cycle_through(const Digraph& g, VertexId v,
                                         const std::vector<bool>* allowed) {
-  CycleSearchBuffers buffers;
-  Cycle cycle;
-  if (!find_cycle_through(g, v, allowed, buffers, cycle)) return std::nullopt;
-  return cycle;
-}
-
-// DFS from each successor of v back to v, avoiding revisits.
-bool find_cycle_through(const Digraph& g, VertexId v,
-                        const std::vector<bool>* allowed,
-                        CycleSearchBuffers& buffers, Cycle& cycle) {
   auto ok = [&](VertexId u) { return allowed == nullptr || (*allowed)[u]; };
-  if (!ok(v)) return false;
-  if (g.has_arc(v, v)) {
-    cycle.assign(1, v);
-    return true;
-  }
+  if (!ok(v)) return std::nullopt;
+  if (g.has_arc(v, v)) return Cycle{v};
 
-  // parent[u] is read only once u is visited, so it needs no reset.
-  auto& [parent, visited, stack] = buffers;
-  parent.resize(g.num_vertices());
-  visited.assign(g.num_vertices(), false);
-  stack.clear();
+  // parent[u] is read only once u is visited.
+  std::vector<VertexId> parent(g.num_vertices());
+  std::vector<bool> visited(g.num_vertices(), false);
+  std::vector<VertexId> stack;
   for (VertexId w : g.out(v)) {
     if (!ok(w) || visited[w]) continue;
     visited[w] = true;
@@ -138,10 +138,10 @@ bool find_cycle_through(const Digraph& g, VertexId v,
     stack.pop_back();
     for (VertexId w : g.out(u)) {
       if (w == v) {
-        cycle.assign(1, v);
+        Cycle cycle{v};
         for (VertexId x = u; x != v; x = parent[x]) cycle.push_back(x);
         std::reverse(cycle.begin() + 1, cycle.end());
-        return true;
+        return cycle;
       }
       if (!ok(w) || visited[w]) continue;
       visited[w] = true;
@@ -149,7 +149,64 @@ bool find_cycle_through(const Digraph& g, VertexId v,
       stack.push_back(w);
     }
   }
-  return false;
+  return std::nullopt;
+}
+
+// Layer d holds the reached vertices whose path from v (v excluded) has d
+// marked vertices. A vertex is reached first from a predecessor of the
+// lowest layer, so its layer is final when it is reached, and the first
+// popped vertex with an arc back to v closes a cycle of fewest marked
+// vertices. Within a layer the walk is depth-first.
+std::size_t fewest_marked_cycle_through(const Digraph& g, VertexId v,
+                                        const std::vector<bool>& keep,
+                                        const std::vector<bool>& marked,
+                                        std::size_t bound,
+                                        CycleSearchBuffers& buffers,
+                                        Cycle& cycle) {
+  const std::size_t self = marked[v] ? 1 : 0;
+  if (!keep[v] || self >= bound) return bound;
+  if (g.has_arc(v, v)) {
+    cycle.assign(1, v);
+    return self;
+  }
+
+  auto& [parent, stamp, generation, layer, next] = buffers;
+  if (stamp.size() < g.num_vertices()) {
+    stamp.resize(g.num_vertices(), 0);
+    parent.resize(g.num_vertices());
+  }
+  if (++generation == 0) {  // wrapped: no stale stamp may match
+    std::fill(stamp.begin(), stamp.end(), 0);
+    generation = 1;
+  }
+  layer.clear();
+  next.clear();
+  stamp[v] = generation;
+  auto reach = [&](VertexId w, VertexId from) {
+    if (!keep[w] || stamp[w] == generation) return;
+    stamp[w] = generation;
+    parent[w] = from;
+    (marked[w] ? next : layer).push_back(w);
+  };
+  for (VertexId w : g.out(v)) reach(w, v);
+  for (std::size_t count = self; count < bound; ++count) {
+    while (!layer.empty()) {
+      const VertexId u = layer.back();
+      layer.pop_back();
+      for (VertexId w : g.out(u)) {
+        if (w == v) {
+          cycle.assign(1, v);
+          for (VertexId x = u; x != v; x = parent[x]) cycle.push_back(x);
+          std::reverse(cycle.begin() + 1, cycle.end());
+          return count;
+        }
+        reach(w, u);
+      }
+    }
+    if (next.empty()) break;
+    layer.swap(next);
+  }
+  return bound;
 }
 
 std::vector<Cycle> simple_cycles(const Digraph& g, std::size_t max_cycles) {

@@ -71,19 +71,18 @@ class RemovalMemo {
   std::vector<std::uint32_t> slots_;
 };
 
-/// Branch on the vertices of one bad cycle per node: removing any one of
-/// its candidates is a choice, and a node without a bad cycle records its
+/// Branch on the marked vertices of one bad cycle per node: removing any
+/// one of them is a choice, and a node without a bad cycle records its
 /// removal set as a feedback set.
 class Search {
  public:
-  Search(const Digraph& g, const std::vector<bool>& marked,
-         const std::vector<bool>& candidates)
-      : g_(g), candidates_(candidates), keep_(g.num_vertices()) {
-    // A cycle through v stays inside v's SCC, and the DFS finds the same
-    // cycle when it is confined to any vertex set holding that SCC: what
-    // it reaches outside never leads back to v. So one Tarjan pass confines
-    // every probe to the cyclic SCCs of g that hold a marked vertex, and
-    // the marked vertices on no cycle of g are never probed.
+  Search(const Digraph& g, const std::vector<bool>& marked)
+      : g_(g), marked_(marked), keep_(g.num_vertices()) {
+    // A cycle through v stays inside v's SCC, and a probe finds the same
+    // cycle when it is confined to any vertex set holding that SCC: what it
+    // reaches outside never leads back to v. So one Tarjan pass confines
+    // every probe to the cyclic SCCs of g that hold a marked vertex, and the
+    // marked vertices on no cycle of g are never probed.
     const SccResult scc = strongly_connected_components(g);
     std::vector<bool> probed(scc.num_components, false);
     for (VertexId v = 0; v < g.num_vertices(); ++v) {
@@ -102,8 +101,9 @@ class Search {
   }
 
  private:
-  /// `first`: the roots before it lie on no cycle of the graph without the
-  /// removed vertices. Removing more keeps it so, so a child resumes there.
+  /// `first`: the roots before it are removed or lie on no cycle of the
+  /// graph without the removed vertices. Removing more keeps it so, so a
+  /// child resumes there.
   void branch(std::size_t first = 0) {
     // The subtree below depends only on the removal *set*, not the order
     // the vertices were chosen in — prune revisits or the walk degenerates
@@ -121,10 +121,10 @@ class Search {
       found_.push_back(memo_.size() - 1);
       return;
     }
-    bool any = false;
+    // Every feedback set removes a marked vertex of this cycle, so the
+    // branches reach every minimal one, whichever bad cycle is chosen.
     for (const VertexId v : cycle) {
-      if (!candidates_[v]) continue;
-      any = true;
+      if (!marked_[v]) continue;
       keep_[v] = false;
       removed_.insert(std::upper_bound(removed_.begin(), removed_.end(), v),
                       v);
@@ -132,22 +132,26 @@ class Search {
       removed_.erase(std::lower_bound(removed_.begin(), removed_.end(), v));
       keep_[v] = true;
     }
-    if (!any && removed_.empty())
-      throw ModelError(
-          cat("a cycle through a marked vertex contains no candidate vertex; "
-              "no feedback set within the candidates exists (cycle length ",
-              cycle.size(), ")"));
-    // If !any deeper in the recursion the branch is simply infeasible.
   }
 
-  /// find_cycle_through from the smallest marked vertex that lies on a
-  /// cycle of the graph without the removed vertices, leaving `first` at
-  /// its root.
+  /// Of the bad cycles through the live roots from `first` on, one with the
+  /// fewest marked vertices, so the node branches as little as it can: the
+  /// least root's wins a tie, and the scan stops at a cycle with one.
+  /// `first` moves past the leading roots that are removed or on no cycle.
   bool bad_cycle(std::size_t& first, Cycle& cycle) {
-    for (; first < roots_.size(); ++first)
-      if (find_cycle_through(g_, roots_[first], &keep_, buffers_, cycle))
-        return true;
-    return false;
+    const std::size_t none = g_.num_vertices() + 1;
+    std::size_t best = none;
+    for (std::size_t i = first; i < roots_.size() && best > 1; ++i) {
+      const std::size_t count = fewest_marked_cycle_through(
+          g_, roots_[i], keep_, marked_, best, buffers_, probe_);
+      if (count < best) {
+        best = count;
+        cycle.swap(probe_);
+      } else if (best == none) {
+        first = i + 1;
+      }
+    }
+    return best != none;
   }
 
   /// The inclusion-minimal feedback sets, sorted by (size, lexicographic),
@@ -175,12 +179,13 @@ class Search {
   }
 
   const Digraph& g_;
-  const std::vector<bool>& candidates_;
+  const std::vector<bool>& marked_;
   std::vector<VertexId> roots_;  // marked vertices on a cycle of g, ascending
   std::vector<bool> keep_;       // probed SCCs minus the removed vertices
   VertexSet removed_;
   RemovalMemo memo_;
   std::deque<Cycle> cycles_;     // the bad cycle of each open node, by depth
+  Cycle probe_;                  // a root's cycle, until it beats the best
   CycleSearchBuffers buffers_;
   std::vector<std::size_t> found_;  // the feedback sets, as memo entries
 };
@@ -188,12 +193,9 @@ class Search {
 }  // namespace
 
 std::vector<std::vector<VertexId>> minimal_feedback_sets(
-    const Digraph& g, const std::vector<bool>& marked,
-    const std::vector<bool>& candidates, std::size_t max_sets) {
-  RINGSTAB_ASSERT(marked.size() == g.num_vertices() &&
-                      candidates.size() == g.num_vertices(),
-                  "mask size mismatch");
-  return Search(g, marked, candidates).run(max_sets);
+    const Digraph& g, const std::vector<bool>& marked, std::size_t max_sets) {
+  RINGSTAB_ASSERT(marked.size() == g.num_vertices(), "mask size mismatch");
+  return Search(g, marked).run(max_sets);
 }
 
 }  // namespace ringstab

@@ -1,4 +1,4 @@
-// Minimal feedback vertex sets restricted to candidate vertices.
+// Minimal feedback vertex sets within the marked vertices.
 #pragma once
 
 #include <vector>
@@ -7,20 +7,21 @@
 
 namespace ringstab {
 
-/// Enumerate minimal sets S ⊆ candidates such that deleting S from `g`
+/// Enumerate minimal sets S of marked vertices such that deleting S from `g`
 /// leaves no directed cycle through any marked vertex. (This is the paper's
-/// `Resolve` computation: marked = illegitimate local deadlocks, candidates =
-/// deadlocks in ¬LC_r that synthesis is allowed to resolve.)
+/// `Resolve` computation: marked = illegitimate local deadlocks, the ¬LC_r
+/// deadlocks synthesis may resolve.) Such a set always exists: all the
+/// marked vertices on cycles.
 ///
-/// Throws ModelError if some cycle through a marked vertex contains no
-/// candidate vertex (then no S ⊆ candidates works). Results are
-/// deduplicated, inclusion-minimal, sorted by (size, lexicographic), and
-/// capped at `max_sets` (the cap applies after minimization of discovered
-/// sets). Throws CapacityError if the search finds more than 100,000
-/// feedback sets, minimal or not: the minimal ones cannot be told from a
-/// partial list.
+/// A branching search: each node branches on the marked vertices of a bad
+/// cycle with the fewest of them. Results are deduplicated,
+/// inclusion-minimal, sorted by (size, lexicographic), and capped at
+/// `max_sets` (the cap applies after minimization of discovered sets).
+/// Throws CapacityError if the search finds more than 100,000 feedback
+/// sets, minimal or not: the minimal ones cannot be told from a partial
+/// list.
 std::vector<std::vector<VertexId>> minimal_feedback_sets(
     const Digraph& g, const std::vector<bool>& marked,
-    const std::vector<bool>& candidates, std::size_t max_sets = 256);
+    std::size_t max_sets = 256);
 
 }  // namespace ringstab

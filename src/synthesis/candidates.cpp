@@ -11,10 +11,8 @@ std::vector<std::vector<LocalStateId>> enumerate_resolve_sets(
     const Protocol& p, std::size_t max_sets) {
   const Digraph g = deadlock_rcg(p);
   std::vector<bool> marked(p.num_states(), false);
-  std::vector<bool> candidates(p.num_states(), false);
-  for (LocalStateId s : p.illegitimate_deadlocks())
-    marked[s] = candidates[s] = true;
-  auto sets = minimal_feedback_sets(g, marked, candidates, max_sets);
+  for (LocalStateId s : p.illegitimate_deadlocks()) marked[s] = true;
+  auto sets = minimal_feedback_sets(g, marked, max_sets);
   std::vector<std::vector<LocalStateId>> out;
   out.reserve(sets.size());
   for (auto& s : sets) out.emplace_back(s.begin(), s.end());

@@ -43,6 +43,7 @@ const GoldenCase kGolden[] = {
     {"rs003_conflict.ring", "RS003", Severity::kWarning},
     {"rs010_dead.ring", "RS010", Severity::kWarning},
     {"rs011_deadlock.ring", "RS011", Severity::kWarning},
+    {"rs011_behind_scc.ring", "RS011", Severity::kWarning},
     {"rs020_empty.ring", "RS020", Severity::kError},
     {"rs020_unused.ring", "RS020", Severity::kNote},
     {"rs030_closure.ring", "RS030", Severity::kError},

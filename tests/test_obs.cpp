@@ -125,7 +125,7 @@ TEST(ObsCounter, CheckerCountersMatchSerialUnderFourThreads) {
 
 /// The same for both synthesizers' exact counters, the Resolve-set search's
 /// node count among them, on the matching skeleton (whose search enters
-/// 34,894 removal sets).
+/// 121 removal sets).
 TEST(ObsCounter, SynthesisCountersMatchSerialUnderFourThreads) {
   const ObsGuard guard;
   const char* kInvariant[] = {
@@ -140,7 +140,7 @@ TEST(ObsCounter, SynthesisCountersMatchSerialUnderFourThreads) {
     SynthesisOptions local;
     local.num_threads = threads;
     (void)synthesize_convergence(p, local);
-    EXPECT_EQ(obs::counter("feedback.search_nodes").total(), 34894u);
+    EXPECT_EQ(obs::counter("feedback.search_nodes").total(), 121u);
     GlobalSynthesisOptions global;
     global.max_solutions = 4;
     global.num_threads = threads;
@@ -150,7 +150,7 @@ TEST(ObsCounter, SynthesisCountersMatchSerialUnderFourThreads) {
   }
   for (std::size_t i = 0; i < std::size(kInvariant); ++i)
     EXPECT_EQ(totals[1][i], totals[0][i]) << kInvariant[i];
-  EXPECT_EQ(totals[0][0], 2 * 34894u);
+  EXPECT_EQ(totals[0][0], 2 * 121u);
 }
 
 TEST(ObsSpan, NestingIsWellFormedPerThread) {
