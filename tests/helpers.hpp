@@ -69,11 +69,11 @@ ReferenceResult reference_check(const RingInstance& ring);
 /// minimal_feedback_sets (graph/feedback.hpp) by its first implementation:
 /// per search node, the induced subgraph of the non-removed vertices, a
 /// Tarjan pass, find_cycle_through from the first marked vertex on a cycle,
-/// and a std::set of sorted removal lists as the visited memo. Same
-/// contract, same results in the same order, the same ModelError. It shares
-/// only find_cycle_through with the search, and none of its SCC
-/// confinement, root resumption or memo, so it is the oracle the search is
-/// held to.
+/// and a std::set of sorted removal lists as the visited memo. It still
+/// takes a candidate mask and throws ModelError when a bad cycle holds no
+/// candidate; with candidates = marked it returns the search's results in
+/// the same order. It shares none of the search's probe, SCC confinement,
+/// root resumption or memo, so it is the oracle the search is held to.
 std::vector<std::vector<VertexId>> reference_minimal_feedback_sets(
     const Digraph& g, const std::vector<bool>& marked,
     const std::vector<bool>& candidates, std::size_t max_sets = 256);
