@@ -37,45 +37,40 @@ GlobalEval evaluate_candidate(const Protocol& p,
   Protocol pss =
       p.with_added(cat(p.name(), "_gss", ordinal), added);
 
-  std::string key;
-  if (memo != nullptr) {
-    key = memo_key_protocol('G', pss);
-    memo_append_u64(key, options.min_ring);
-    memo_append_u64(key, options.max_ring);
-    memo_append_u64(key, options.max_states);
-    key.push_back(options.prefilter_with_theorem42 ? 1 : 0);
-    if (const auto hit = memo->get(key)) {
-      eval.prefiltered = hit->status == 0;
-      eval.ok = hit->flag;
-      eval.states = hit->amount;
-      if (eval.ok) eval.pss = std::move(pss);
-      return eval;
-    }
-  }
-
-  if (options.prefilter_with_theorem42 &&
-      !analyze_deadlocks(pss, /*spectrum=*/2).deadlock_free_all_k) {
-    eval.prefiltered = true;
-  } else {
+  // status 0 iff the Theorem 4.2 prefilter discarded the candidate; flag:
+  // strongly stabilizing for every configured K; amount: states explored.
+  const auto sweep = [&] {
+    CachedVerdict v;
+    if (options.prefilter_with_theorem42 &&
+        !analyze_deadlocks(pss, /*spectrum=*/2).deadlock_free_all_k)
+      return v;
+    v.status = 1;
     // The per-candidate K sweep stays serial: each K short-circuits the
     // next, and candidate-level fan-out already saturates the pool.
     bool ok = true;
     for (std::size_t k = options.min_ring; k <= options.max_ring && ok;
          ++k) {
       const RingInstance ring(pss, k, options.max_states);
-      eval.states += ring.num_states();
+      v.amount += ring.num_states();
       ok = strongly_stabilizing(ring);
     }
-    eval.ok = ok;
-  }
-
+    v.flag = ok;
+    return v;
+  };
+  CachedVerdict v;
   if (memo != nullptr) {
-    CachedVerdict v;
-    v.status = eval.prefiltered ? 0 : 1;
-    v.flag = eval.ok;
-    v.amount = eval.states;
-    memo->put(key, v);
+    std::string key = memo_key_protocol('G', pss);
+    memo_append_u64(key, options.min_ring);
+    memo_append_u64(key, options.max_ring);
+    memo_append_u64(key, options.max_states);
+    key.push_back(options.prefilter_with_theorem42 ? 1 : 0);
+    v = memo->get_or_compute(key, sweep);
+  } else {
+    v = sweep();
   }
+  eval.prefiltered = v.status == 0;
+  eval.ok = v.flag;
+  eval.states = v.amount;
   if (eval.ok) eval.pss = std::move(pss);
   return eval;
 }

@@ -54,20 +54,14 @@ LocalEval evaluate_candidate(const Protocol& p, const SynthesisOptions& options,
   // Theorem 5.14 certifies livelock-freedom with no trail search. The
   // verdict depends only on the projected write-pair set, so candidates
   // sharing that signature share one memo entry.
-  bool npl_livelock_free;
-  if (memo != nullptr) {
-    const std::string key = memo_key_npl(pss);
-    if (const auto hit = memo->get(key)) {
-      npl_livelock_free = !hit->flag;
-    } else {
-      CachedVerdict v;
-      v.flag = WriteProjection(pss, {}).has_pseudo_livelock();
-      npl_livelock_free = !v.flag;
-      memo->put(key, v);
-    }
-  } else {
-    npl_livelock_free = !WriteProjection(pss, {}).has_pseudo_livelock();
-  }
+  const auto npl = [&] {
+    CachedVerdict v;
+    v.flag = WriteProjection(pss, {}).has_pseudo_livelock();
+    return v;
+  };
+  const bool npl_livelock_free =
+      !(memo != nullptr ? memo->get_or_compute(memo_key_npl(pss), npl) : npl())
+           .flag;
 
   if (npl_livelock_free) {
     report.status = CandidateReport::Status::kAcceptedNpl;
@@ -76,41 +70,36 @@ LocalEval evaluate_candidate(const Protocol& p, const SynthesisOptions& options,
     // the self-disabled p_ss. The search reads nothing but that
     // self-disabled image, so distinct additions collapsing to one
     // self-disabled LTG share the trail verdict.
-    bool decided = false;
-    std::string trail_key;
-    if (memo != nullptr) {
-      const bool sd = is_self_disabling(pss);
-      trail_key =
-          memo_key_protocol('T', sd ? pss : make_self_disabling(pss));
-      memo_append_query(trail_key, options.trail_query);
-      if (const auto hit = memo->get(trail_key)) {
-        report.status = static_cast<CandidateReport::Status>(hit->status);
-        report.trail = hit->trail;
-        decided = true;
-      }
-    }
-    if (!decided) {
+    const auto search = [&] {
       const LivelockAnalysis live =
           check_livelock_freedom(pss, options.trail_query);
+      auto status = CandidateReport::Status::kInconclusive;
+      CachedVerdict v;
       switch (live.verdict) {
         case LivelockAnalysis::Verdict::kLivelockFree:
-          report.status = CandidateReport::Status::kAcceptedPl;
+          status = CandidateReport::Status::kAcceptedPl;
           break;
         case LivelockAnalysis::Verdict::kTrailFound:
-          report.status = CandidateReport::Status::kRejectedTrail;
-          report.trail = live.trail();
+          status = CandidateReport::Status::kRejectedTrail;
+          v.trail = live.trail();
           break;
         case LivelockAnalysis::Verdict::kInconclusive:
-          report.status = CandidateReport::Status::kInconclusive;
           break;
       }
-      if (memo != nullptr) {
-        CachedVerdict v;
-        v.status = static_cast<std::uint8_t>(report.status);
-        v.trail = report.trail;
-        memo->put(trail_key, v);
-      }
+      v.status = static_cast<std::uint8_t>(status);
+      return v;
+    };
+    CachedVerdict verdict;
+    if (memo != nullptr) {
+      std::string key = memo_key_protocol(
+          'T', is_self_disabling(pss) ? pss : make_self_disabling(pss));
+      memo_append_query(key, options.trail_query);
+      verdict = memo->get_or_compute(key, search);
+    } else {
+      verdict = search();
     }
+    report.status = static_cast<CandidateReport::Status>(verdict.status);
+    report.trail = std::move(verdict.trail);
 
     if (report.status == CandidateReport::Status::kRejectedTrail &&
         options.classify_rejected_trails) {

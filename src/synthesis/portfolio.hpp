@@ -28,16 +28,20 @@
 // synthesis calls over a protocol corpus repeat whole fixed-K verdicts.
 // VerdictMemo is a lock-sharded exact-key table for exactly these three
 // kinds ('N', 'T', 'G'); since every cached verdict is a pure function of
-// its key, memo hits cannot change results — only skip recomputation.
+// its key, memo hits cannot change results — only skip recomputation. A
+// lookup of a key another lane is still computing waits for that verdict,
+// so how the lanes interleave never changes how many verdicts are computed.
 // Verdicts no two candidates share (trail classification, the array
 // synthesizer's defensive re-check) are recomputed, not cached.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <optional>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -72,20 +76,50 @@ class VerdictMemo {
         misses_(obs::counter("synth.memo_misses", /*approx=*/true)),
         lookup_ns_(obs::histogram("synth.memo_lookup_ns")) {}
 
-  std::optional<CachedVerdict> get(const std::string& key) const {
-    if (!obs::enabled()) return get_untimed(key);
-    const obs::Ticks t0 = obs::now();
-    auto v = get_untimed(key);
-    lookup_ns_.record(obs::now() - t0);
-    return v;
-  }
-
-  /// First write wins; verdicts are pure functions of the key, so a racing
-  /// duplicate insert carries the identical value.
-  void put(const std::string& key, CachedVerdict v) const {
+  /// The verdict for `key`: the cached one, or else `compute()`'s, cached
+  /// for later lookups. A lookup of a key that another thread is computing
+  /// waits for that verdict instead of computing it again, so each verdict
+  /// is computed once however the lanes interleave. If `compute()` throws,
+  /// nothing is cached and a waiting lookup computes the verdict itself.
+  template <typename Compute>
+  CachedVerdict get_or_compute(const std::string& key,
+                               const Compute& compute) const {
+    const obs::Ticks t0 = obs::enabled() ? obs::now() : 0;
     Shard& s = shard(key);
-    std::lock_guard lock(s.mu);
-    s.map.emplace(key, std::move(v));
+    std::unique_lock lock(s.mu);
+    while (true) {
+      if (const auto it = s.map.find(key); it != s.map.end()) {
+        hits_.add(1);
+        if (obs::enabled()) lookup_ns_.record(obs::now() - t0);
+        return it->second;
+      }
+      if (std::find(s.computing.begin(), s.computing.end(), key) ==
+          s.computing.end())
+        break;
+      // Another thread is computing this verdict: yield until it lands.
+      lock.unlock();
+      std::this_thread::yield();
+      lock.lock();
+    }
+    misses_.add(1);
+    if (obs::enabled()) lookup_ns_.record(obs::now() - t0);
+    s.computing.push_back(key);
+    lock.unlock();
+    const auto done = [&] {
+      lock.lock();
+      s.computing.erase(
+          std::find(s.computing.begin(), s.computing.end(), key));
+    };
+    CachedVerdict v;
+    try {
+      v = compute();
+    } catch (...) {
+      done();
+      throw;
+    }
+    done();
+    s.map.emplace(key, v);
+    return v;
   }
 
   std::size_t size() const {
@@ -102,21 +136,10 @@ class VerdictMemo {
   struct Shard {
     mutable std::mutex mu;
     std::unordered_map<std::string, CachedVerdict> map;
+    std::vector<std::string> computing;  // keys a thread is computing now
   };
   Shard& shard(const std::string& key) const {
     return shards_[std::hash<std::string>{}(key) % kShards];
-  }
-
-  std::optional<CachedVerdict> get_untimed(const std::string& key) const {
-    Shard& s = shard(key);
-    std::lock_guard lock(s.mu);
-    const auto it = s.map.find(key);
-    if (it == s.map.end()) {
-      misses_.add(1);
-      return std::nullopt;
-    }
-    hits_.add(1);
-    return it->second;
   }
 
   obs::Counter& hits_;    // registry references live for the process

@@ -1,11 +1,18 @@
 // The parallel portfolio synthesizer: bit-identical SynthesisResult between
 // 1 and N lanes across the zoo (solutions, reports, counters), verdict-memo
-// reuse observable through synth.memo_hits, quota early-exit determinism,
-// and nested-parallel-region safety.
+// reuse observable through synth.memo_hits, one computation per verdict
+// under concurrent lookups, quota early-exit determinism, and
+// nested-parallel-region safety.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <cstdint>
 #include <optional>
+#include <stdexcept>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "helpers.hpp"
 #include "obs/obs.hpp"
@@ -296,6 +303,55 @@ TEST(PortfolioSynthesis, ClassificationInsideLanesDoesNotDeadlock) {
   for (const auto& r : res.reports)
     if (r.realization) any_classified = true;
   EXPECT_TRUE(any_classified);
+}
+
+// Lookups of a verdict another lane is still computing wait for it instead
+// of computing it again: the computation runs once, and every lookup
+// returns its verdict.
+TEST(PortfolioSynthesis, ConcurrentLookupsComputeAVerdictOnce) {
+  const VerdictMemo memo;
+  std::atomic<int> computed{0};
+  std::atomic<bool> release{false};
+  const auto compute = [&] {
+    computed.fetch_add(1);
+    while (!release.load()) std::this_thread::yield();
+    CachedVerdict v;
+    v.amount = 42;
+    return v;
+  };
+  std::vector<std::uint64_t> seen(4, 0);
+  {
+    std::vector<std::jthread> lanes;
+    for (std::size_t i = 0; i < seen.size(); ++i)
+      lanes.emplace_back(
+          [&, i] { seen[i] = memo.get_or_compute("key", compute).amount; });
+    // Hold the computation open while the other lanes reach the lookup.
+    while (computed.load() == 0) std::this_thread::yield();
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    release.store(true);
+  }
+  EXPECT_EQ(computed.load(), 1);
+  for (const std::uint64_t amount : seen) EXPECT_EQ(amount, 42u);
+  EXPECT_EQ(memo.size(), 1u);
+}
+
+// A computation that throws leaves nothing cached and nothing pending: the
+// next lookup of the key computes the verdict.
+TEST(PortfolioSynthesis, AThrowingComputationCachesNothing) {
+  const VerdictMemo memo;
+  EXPECT_THROW(memo.get_or_compute("key",
+                                   []() -> CachedVerdict {
+                                     throw std::runtime_error("no verdict");
+                                   }),
+               std::runtime_error);
+  EXPECT_EQ(memo.size(), 0u);
+  const auto ok = [] {
+    CachedVerdict v;
+    v.flag = true;
+    return v;
+  };
+  EXPECT_TRUE(memo.get_or_compute("key", ok).flag);
+  EXPECT_EQ(memo.size(), 1u);
 }
 
 }  // namespace
