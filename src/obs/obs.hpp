@@ -24,7 +24,7 @@
 //    "approx" flag in the run manifest.
 //  * Spans nest per thread (a thread-local stack); parallel_for emits one
 //    chunk-grained span per chunk on the lane that ran it, tagged with the
-//    lane id, so trace sinks can render one track per worker thread.
+//    lane id, so trace sinks can render one track per lane.
 //  * Sinks (sinks.hpp) consume span records, heartbeats, and final counter
 //    /histogram/gauge totals; Registry serializes all sink calls under one
 //    mutex.

@@ -20,9 +20,8 @@ thread_local bool t_inside_pool_run = false;
 ThreadPool::ThreadPool(std::size_t num_threads) {
   const std::size_t workers = num_threads > 1 ? num_threads - 1 : 0;
   workers_.reserve(workers);
-  for (std::size_t lane = 1; lane <= workers; ++lane)
-    workers_.emplace_back(
-        [this, lane](std::stop_token stop) { worker_loop(stop, lane); });
+  for (std::size_t i = 0; i < workers; ++i)
+    workers_.emplace_back([this](std::stop_token stop) { worker_loop(stop); });
 }
 
 ThreadPool::~ThreadPool() {
@@ -34,10 +33,11 @@ ThreadPool::~ThreadPool() {
   // jthread joins on destruction.
 }
 
-void ThreadPool::worker_loop(std::stop_token stop, std::size_t lane) {
+void ThreadPool::worker_loop(std::stop_token stop) {
   std::uint64_t seen = 0;
   while (true) {
     const std::function<void(std::size_t)>* job = nullptr;
+    std::size_t lane = 0;
     {
       std::unique_lock lock(mu_);
       work_cv_.wait(lock, [&] {
@@ -45,7 +45,9 @@ void ThreadPool::worker_loop(std::stop_token stop, std::size_t lane) {
       });
       if (stop.stop_requested()) return;
       seen = generation_;
-      if (lane >= job_lanes_) continue;  // this job uses fewer lanes
+      // Lanes go to workers in the order they wake (see the header).
+      if (next_lane_ == job_lanes_) continue;  // every lane is taken
+      lane = next_lane_++;
       job = job_;
     }
     try {
@@ -77,6 +79,7 @@ void ThreadPool::run(std::size_t lanes,
     std::lock_guard lock(mu_);
     job_ = &job;
     job_lanes_ = lanes;
+    next_lane_ = 1;
     active_ = lanes - 1;
     first_error_ = nullptr;
     ++generation_;
@@ -136,7 +139,7 @@ void parallel_for(
   };
   // When observability is on, each chunk becomes one span on the lane that
   // ran it, labelled with the caller's innermost phase name — trace sinks
-  // render the sweep as one track per worker thread. The label is read on
+  // render the sweep as one track per lane. The label is read on
   // the calling thread before dispatch (span stacks are thread-local).
   const bool traced = obs::enabled();
   const char* region = traced ? obs::current_span_name() : nullptr;

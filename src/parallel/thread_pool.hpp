@@ -17,6 +17,9 @@
 //  * num_threads <= 1 (or a single chunk) runs inline on the caller with no
 //    pool, no atomics, and no thread creation: the serial default is the
 //    seed engine's behavior exactly.
+//  * A job's lanes go to the first workers that wake for it, not to fixed
+//    workers: a job narrower than the pool does not wait on one worker
+//    whose CPU is busy or slow to wake while another worker is free.
 #pragma once
 
 #include <condition_variable>
@@ -55,13 +58,14 @@ class ThreadPool {
   static ThreadPool& shared();
 
  private:
-  void worker_loop(std::stop_token stop, std::size_t lane);
+  void worker_loop(std::stop_token stop);
 
   std::mutex mu_;
   std::condition_variable work_cv_;
   std::condition_variable done_cv_;
   const std::function<void(std::size_t)>* job_ = nullptr;
   std::size_t job_lanes_ = 0;       // lanes participating in the current job
+  std::size_t next_lane_ = 0;       // the lane the next waking worker takes
   std::uint64_t generation_ = 0;    // bumped per run() to wake workers
   std::size_t active_ = 0;          // workers still inside the current job
   std::exception_ptr first_error_;

@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <numeric>
+#include <vector>
 
 #include "global/checker.hpp"
 #include "global/symmetry.hpp"
@@ -103,6 +104,23 @@ TEST(ParallelFor, PropagatesWorkerExceptions) {
 // A parallel region opened from inside another region's lane must execute
 // inline on that lane (the pool's workers are busy running the outer
 // region) — never deadlock, and still cover its range exactly once.
+// Lanes go to whichever workers wake first; every lane of every job must
+// still run exactly once, for jobs as wide as the pool and narrower ones,
+// run back to back.
+TEST(ThreadPool, EveryLaneOfAJobRunsOnce) {
+  ThreadPool pool(4);
+  for (int round = 0; round < 200; ++round)
+    for (std::size_t lanes = 1; lanes <= 4; ++lanes) {
+      std::vector<std::atomic<int>> runs(lanes);
+      pool.run(lanes, [&](std::size_t lane) {
+        EXPECT_LT(lane, lanes);
+        if (lane < lanes) runs[lane].fetch_add(1);
+      });
+      for (std::size_t lane = 0; lane < lanes; ++lane)
+        EXPECT_EQ(runs[lane].load(), 1) << "lane " << lane << " of " << lanes;
+    }
+}
+
 TEST(ParallelFor, NestedRegionRunsInlineWithoutDeadlock) {
   const std::uint64_t outer_n = 1'000, inner_n = 640;
   std::atomic<std::uint64_t> inner_total{0};
