@@ -9,13 +9,15 @@
 #                               test_checker+test_parallel_scc+test_symmetry
 #                               +test_ring_instance+test_array+test_tree
 #                               +test_graph+test_deadlock+test_lint
-#                               +test_synthesis+test_array_synthesis + CLI
+#                               +test_synthesis+test_array_synthesis
+#                               +test_synthesis_parallel+test_absint + CLI
 #                               parsing/synthesis/lint tests, UBSan
 #                               core/local/analysis test binaries
 #                               +test_checker+test_parallel_scc+test_symmetry
 #                               +test_ring_instance+test_array+test_tree
 #                               +test_graph+test_synthesis
-#                               +test_array_synthesis
+#                               +test_array_synthesis+test_absint
+#                               +test_printer
 #   scripts/check.sh --fast     tier-1 only (skip the sanitizer builds)
 #   scripts/check.sh --tsan     TSan stage only (the CI tsan job's recipe)
 #
@@ -89,14 +91,14 @@ if [[ "$mode" == "--tsan" ]]; then
   exit 0
 fi
 
-echo "== ASan: build test_checker + test_parallel_scc + test_symmetry + instance tests + test_graph + test_deadlock + test_lint + test_synthesis + test_array_synthesis + CLI tools =="
+echo "== ASan: build test_checker + test_parallel_scc + test_symmetry + instance tests + test_graph + test_deadlock + test_lint + test_synthesis + test_array_synthesis + test_synthesis_parallel + test_absint + CLI tools =="
 cmake -B "$repo/build-asan" -S "$repo" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DRINGSTAB_SANITIZE=address
 cmake --build "$repo/build-asan" -j "$jobs" \
       --target test_checker test_parallel_scc test_symmetry \
                test_ring_instance test_array test_tree test_graph \
                test_deadlock test_lint test_synthesis test_array_synthesis \
-               ringstab_cli ringstab_batch
+               test_synthesis_parallel test_absint ringstab_cli ringstab_batch
 
 echo "== ASan: run =="
 # The acyclic and Tarjan passes index the rank arrays from explicit stacks;
@@ -125,17 +127,24 @@ echo "== ASan: run =="
 # per-state vectors; test_array_synthesis holds the BFS to the reference
 # enumerator on the array protocols and 2,000 random arrays.
 "$repo/build-asan/tests/test_array_synthesis"
+# The portfolio evaluates and merges in a window of verdict slots reused
+# window after window; test_synthesis_parallel drives it at 1, 2 and 4
+# lanes, with the quota met inside a later window. test_absint drives the
+# static lane, whose RS002 messages cat() builds without a stream.
+"$repo/build-asan/tests/test_synthesis_parallel"
+"$repo/build-asan/tests/test_absint"
 ctest --test-dir "$repo/build-asan" --output-on-failure -j "$jobs" \
       -R 'cli_(bad_k|negative_k|missing_flag_value|flag_value_flag|batch_missing_value|check_symmetry|batch_symmetry|bad_jobs|synth_alias|synthesize_jobs|synthesize_bad_jobs|batch_synth|lint|lint_json|lint_error|batch_lint)'
 
-echo "== UBSan: build core/local/analysis + checker + quotient + instance + graph + synthesis test binaries =="
+echo "== UBSan: build core/local/analysis + checker + quotient + instance + graph + synthesis + static-lane + printer test binaries =="
 cmake -B "$repo/build-ubsan" -S "$repo" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DRINGSTAB_SANITIZE=undefined
 cmake --build "$repo/build-ubsan" -j "$jobs" \
       --target test_domain test_local_state test_protocol test_parser \
                test_deadlock test_livelock test_lint test_checker \
                test_parallel_scc test_symmetry test_ring_instance test_array \
-               test_tree test_graph test_synthesis test_array_synthesis
+               test_tree test_graph test_synthesis test_array_synthesis \
+               test_absint test_printer
 
 echo "== UBSan: run =="
 # Recovery is disabled in the build, so any UB aborts the stage. The
@@ -150,11 +159,14 @@ echo "== UBSan: run =="
 # probe's generation stamps, wrap included, on graphs of 2 to 200,000
 # vertices; test_synthesis drives the search through both synthesizers.
 # test_array_synthesis drives the array Resolve-set BFS and the candidate
-# odometer's decode.
+# odometer's decode. test_local_state drives right_continues' division and
+# modulo over every window shape. test_absint drives the static lane, and
+# test_printer holds cat()'s to_chars path to a stream on extreme integers.
 for t in test_domain test_local_state test_protocol test_parser \
          test_deadlock test_livelock test_lint test_checker \
          test_parallel_scc test_symmetry test_ring_instance test_array \
-         test_tree test_graph test_synthesis test_array_synthesis; do
+         test_tree test_graph test_synthesis test_array_synthesis \
+         test_absint test_printer; do
   "$repo/build-ubsan/tests/$t"
 done
 

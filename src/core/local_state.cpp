@@ -87,21 +87,20 @@ std::string LocalStateSpace::describe(LocalStateId s) const {
 }
 
 bool LocalStateSpace::right_continues(LocalStateId u, LocalStateId v) const {
-  // Shared offsets: k in [1-left, right] of u align with k-1 of v.
-  for (int k = 1 - locality_.left; k <= locality_.right; ++k)
-    if (value(u, k) != value(v, k - 1)) return false;
-  return true;
+  RINGSTAB_ASSERT(u < size_ && v < size_, "local state id out of range");
+  // The shared offsets [1-left, right] of u are its digits above the lowest;
+  // the same variables are v's offsets [-left, right-1], its digits below
+  // the highest.
+  const auto top = static_cast<std::size_t>(locality_.window() - 1);
+  return u / domain_.size() == v % pow_[top];
 }
 
 std::vector<LocalStateId> LocalStateSpace::right_continuations(
     LocalStateId u) const {
-  // v is determined on offsets [-left, right-1] by u's offsets [1-left,
-  // right]; its rightmost variable is free.
-  LocalStateId base = 0;
-  for (int k = 1 - locality_.left; k <= locality_.right; ++k) {
-    const std::size_t p = static_cast<std::size_t>((k - 1) + locality_.left);
-    base += static_cast<LocalStateId>(value(u, k)) * pow_[p];
-  }
+  RINGSTAB_ASSERT(u < size_, "local state id out of range");
+  // v's digits below the highest are u's above the lowest (see
+  // right_continues); its rightmost variable is free.
+  const LocalStateId base = static_cast<LocalStateId>(u / domain_.size());
   const std::size_t top = static_cast<std::size_t>(locality_.window() - 1);
   std::vector<LocalStateId> out;
   out.reserve(domain_.size());

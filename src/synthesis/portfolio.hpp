@@ -5,13 +5,17 @@
 // Execution model. A synthesis run examines a list of candidate revisions;
 // each candidate's verdict (NPL fast path, trail search, fixed-K model
 // checking) is a pure function of (input protocol, candidate), so verdicts
-// may be computed on any lane in any order. run_portfolio() fans the
-// candidate list out over the process-wide thread pool at one candidate per
-// chunk (deterministic partition, dynamic lane assignment), parks each
-// verdict in its candidate's slot, and then merges the slots in ascending
-// candidate order on the caller — reproducing the serial examination order,
-// and therefore the accepted-solution order, bit for bit at any thread
-// count.
+// may be computed on any lane in any order. run_portfolio() walks the
+// candidate list in windows of kPortfolioSlotsPerLane slots per lane. It
+// fans each window out over the process-wide thread pool at one candidate
+// per chunk (deterministic partition, dynamic lane assignment), parks each
+// verdict in its slot, and then merges the window's slots in ascending
+// candidate order on the caller before the next window reuses them —
+// reproducing the serial examination order, and therefore the
+// accepted-solution order, bit for bit at any thread count. The window
+// keeps the slot array small and reused: a slot per candidate (~320 B each
+// for the local synthesizer, thousands per batch) would be a fresh mapping
+// from the allocator, with its page faults, on every batch.
 //
 // Cooperative early exit. Accepting synthesizers stop at a solution quota.
 // Lanes bump an atomic claim counter per provisional acceptance; once the
@@ -29,19 +33,20 @@
 // VerdictMemo is a lock-sharded exact-key table for exactly these three
 // kinds ('N', 'T', 'G'); since every cached verdict is a pure function of
 // its key, memo hits cannot change results — only skip recomputation. A
-// lookup of a key another lane is still computing waits for that verdict,
-// so how the lanes interleave never changes how many verdicts are computed.
+// lookup of a key another lane is still computing blocks on its shard's
+// condition variable until that verdict lands, so how the lanes interleave
+// never changes how many verdicts are computed.
 // Verdicts no two candidates share (trail classification, the array
 // synthesizer's defensive re-check) are recomputed, not cached.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -87,19 +92,16 @@ class VerdictMemo {
     const obs::Ticks t0 = obs::enabled() ? obs::now() : 0;
     Shard& s = shard(key);
     std::unique_lock lock(s.mu);
-    while (true) {
-      if (const auto it = s.map.find(key); it != s.map.end()) {
-        hits_.add(1);
-        if (obs::enabled()) lookup_ns_.record(obs::now() - t0);
-        return it->second;
-      }
-      if (std::find(s.computing.begin(), s.computing.end(), key) ==
-          s.computing.end())
-        break;
-      // Another thread is computing this verdict: yield until it lands.
-      lock.unlock();
-      std::this_thread::yield();
-      lock.lock();
+    // Another thread may be computing this verdict: wait until it lands (or
+    // its computation throws and leaves the key to us).
+    s.settled.wait(lock, [&] {
+      return std::find(s.computing.begin(), s.computing.end(), key) ==
+             s.computing.end();
+    });
+    if (const auto it = s.map.find(key); it != s.map.end()) {
+      hits_.add(1);
+      if (obs::enabled()) lookup_ns_.record(obs::now() - t0);
+      return it->second;
     }
     misses_.add(1);
     if (obs::enabled()) lookup_ns_.record(obs::now() - t0);
@@ -109,6 +111,7 @@ class VerdictMemo {
       lock.lock();
       s.computing.erase(
           std::find(s.computing.begin(), s.computing.end(), key));
+      s.settled.notify_all();
     };
     CachedVerdict v;
     try {
@@ -137,6 +140,7 @@ class VerdictMemo {
     mutable std::mutex mu;
     std::unordered_map<std::string, CachedVerdict> map;
     std::vector<std::string> computing;  // keys a thread is computing now
+    std::condition_variable settled;     // a computing key left `computing`
   };
   Shard& shard(const std::string& key) const {
     return shards_[std::hash<std::string>{}(key) % kShards];
@@ -194,8 +198,14 @@ void memo_append_query(std::string& key, const TrailQuery& query);
 /// Merge-loop control for run_portfolio.
 enum class PortfolioStep { kContinue, kStop };
 
+/// Verdict slots per lane in run_portfolio's window. At 2 lanes the
+/// local synthesizer's window is ~80 KB, below glibc's 128 KiB mmap
+/// threshold, so it comes from the heap and is reused window after window.
+inline constexpr std::size_t kPortfolioSlotsPerLane = 128;
+
 /// Evaluate candidates [0, n) on `num_threads` lanes and merge the verdicts
-/// in ascending candidate order on the calling thread.
+/// in ascending candidate order on the calling thread, one window of
+/// kPortfolioSlotsPerLane slots per lane at a time.
 ///
 ///  * `evaluate(i) -> Verdict` must be a pure function of i (it runs on an
 ///    arbitrary lane, possibly twice for a skipped-but-needed candidate).
@@ -211,7 +221,9 @@ void run_portfolio(std::size_t n, std::size_t num_threads,
                    std::size_t accept_quota, const EvalFn& evaluate,
                    const AcceptFn& is_accepted, const MergeFn& merge) {
   if (n == 0) return;
-  std::vector<std::optional<Verdict>> slots(n);
+  const std::size_t lanes = std::max<std::size_t>(num_threads, 1);
+  const std::size_t window = std::min(n, kPortfolioSlotsPerLane * lanes);
+  std::vector<std::optional<Verdict>> slots(window);
   std::atomic<std::size_t> claims{0};
   // How many lanes had already seen the quota satisfied is a race, hence
   // approx; verdict latency is timing-shaped (p99 = the hard candidates).
@@ -225,22 +237,29 @@ void run_portfolio(std::size_t n, std::size_t num_threads,
     verdict_ns.record(obs::now() - t0);
     return v;
   };
-  parallel_for(n, num_threads, /*grain=*/1,
-               [&](const ChunkRange& chunk, std::size_t) {
-                 for (std::uint64_t i = chunk.begin; i < chunk.end; ++i) {
-                   if (accept_quota != 0 &&
-                       claims.load(std::memory_order_relaxed) >= accept_quota) {
-                     skipped.add(1);
-                     continue;
+  for (std::size_t first = 0; first < n; first += window) {
+    const std::size_t len = std::min(window, n - first);
+    parallel_for(len, num_threads, /*grain=*/1,
+                 [&](const ChunkRange& chunk, std::size_t) {
+                   for (std::uint64_t j = chunk.begin; j < chunk.end; ++j) {
+                     if (accept_quota != 0 &&
+                         claims.load(std::memory_order_relaxed) >=
+                             accept_quota) {
+                       skipped.add(1);
+                       continue;
+                     }
+                     slots[j].emplace(timed_evaluate(first + j));
+                     if (is_accepted(*slots[j]))
+                       claims.fetch_add(1, std::memory_order_relaxed);
                    }
-                   slots[i].emplace(timed_evaluate(static_cast<std::size_t>(i)));
-                   if (is_accepted(*slots[i]))
-                     claims.fetch_add(1, std::memory_order_relaxed);
-                 }
-               });
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!slots[i]) slots[i].emplace(timed_evaluate(i));  // skipped but needed
-    if (merge(i, std::move(*slots[i])) == PortfolioStep::kStop) return;
+                 });
+    for (std::size_t j = 0; j < len; ++j) {
+      std::optional<Verdict>& slot = slots[j];
+      if (!slot) slot.emplace(timed_evaluate(first + j));  // skipped, needed
+      const PortfolioStep step = merge(first + j, std::move(*slot));
+      slot.reset();
+      if (step == PortfolioStep::kStop) return;
+    }
   }
 }
 

@@ -334,6 +334,7 @@ TEST(StaticLane, RefutesAddedArcCyclesAsRs002) {
   const Protocol p = protocols::matching_skeleton();
   const SynthesisResult res = synthesize_convergence(p, lane_options(1));
   std::size_t ill = 0, ill_static = 0;
+  std::string first_message;
   for (const auto& rep : res.reports) {
     if (rep.status != CandidateReport::Status::kRejectedIllFormed) continue;
     ++ill;
@@ -341,10 +342,17 @@ TEST(StaticLane, RefutesAddedArcCyclesAsRs002) {
       ++ill_static;
       ASSERT_FALSE(rep.ill_formed.empty());
       EXPECT_EQ(rep.ill_formed[0].code, "RS002");
+      if (first_message.empty()) first_message = rep.ill_formed[0].message;
     }
   }
   EXPECT_GT(ill, 0u);
   EXPECT_EQ(ill, ill_static);
+  // The lane builds this text with cat() and brief() per rejection; pin its
+  // bytes.
+  EXPECT_EQ(first_message,
+            "added transitions close the local cycle llr -> lrr -> llr: a "
+            "single process can fire forever (Assumption 1 fails); the trail "
+            "pipeline is undefined [static]");
 }
 
 TEST(StaticLane, TrailCertificatesFireOnColoring) {

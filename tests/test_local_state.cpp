@@ -93,16 +93,23 @@ TEST(LocalStateSpace, ContinuationDegreeIsDomainSize) {
   }
 }
 
-// right_continues must agree with the definitional check on shared offsets.
+// right_continues must agree with the definitional check on shared offsets,
+// offset by offset, for reads -1..0, 0..1, -1..1 and -2..1 over domains 2-5.
+// (Reads 0..0 is no locality: Locality.ValidatesSpans.)
 TEST(LocalStateSpace, ContinuationMatchesSharedOffsetDefinition) {
-  const LocalStateSpace space(Domain::range(2), {1, 1});
-  for (LocalStateId u = 0; u < space.size(); ++u)
-    for (LocalStateId v = 0; v < space.size(); ++v) {
-      const bool expected =
-          space.value(u, 0) == space.value(v, -1) &&
-          space.value(u, 1) == space.value(v, 0);
-      EXPECT_EQ(space.right_continues(u, v), expected)
-          << space.brief(u) << " → " << space.brief(v);
+  for (const auto loc :
+       {Locality{1, 0}, Locality{0, 1}, Locality{1, 1}, Locality{2, 1}})
+    for (std::size_t d = 2; d <= 5; ++d) {
+      const LocalStateSpace space(Domain::range(d), loc);
+      for (LocalStateId u = 0; u < space.size(); ++u)
+        for (LocalStateId v = 0; v < space.size(); ++v) {
+          bool expected = true;
+          for (int k = 1 - loc.left; k <= loc.right; ++k)
+            expected = expected && space.value(u, k) == space.value(v, k - 1);
+          EXPECT_EQ(space.right_continues(u, v), expected)
+              << "reads -" << loc.left << ".." << loc.right << " |D|=" << d
+              << ": " << space.brief(u) << " → " << space.brief(v);
+        }
     }
 }
 

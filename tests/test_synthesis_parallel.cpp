@@ -195,18 +195,30 @@ TEST(PortfolioSynthesis, SharedMemoReusesVerdictsAcrossCalls) {
 // Early exit via the atomic claim counter must not change what max_solutions
 // returns: the first accepted candidate in serial order wins at any N.
 TEST(PortfolioSynthesis, QuotaEarlyExitMatchesSerial) {
+  const auto expect_matches_serial = [](const Protocol& p,
+                                        std::size_t max_solutions,
+                                        std::vector<std::size_t> lanes) {
+    SynthesisOptions serial_opts;
+    serial_opts.max_solutions = max_solutions;
+    const auto serial = synthesize_convergence(p, serial_opts);
+    for (std::size_t threads : lanes) {
+      SynthesisOptions par_opts = serial_opts;
+      par_opts.num_threads = threads;
+      expect_same_result(serial, synthesize_convergence(p, par_opts),
+                         p.name() + " max_solutions=" +
+                             std::to_string(max_solutions) +
+                             " threads=" + std::to_string(threads));
+    }
+  };
   for (const auto& p :
        {protocols::sum_not_two_empty(), protocols::agreement_empty(),
-        protocols::monotone_empty(3)}) {
-    SynthesisOptions serial_opts;
-    serial_opts.max_solutions = 1;
-    const auto serial = synthesize_convergence(p, serial_opts);
-    SynthesisOptions par_opts;
-    par_opts.max_solutions = 1;
-    par_opts.num_threads = 4;
-    const auto par = synthesize_convergence(p, par_opts);
-    expect_same_result(serial, par, p.name() + " max_solutions=1");
-  }
+        protocols::monotone_empty(3)})
+    expect_matches_serial(p, 1, {4});
+  // Matching's candidate batches span many windows of the portfolio's
+  // slots, so these quotas are met inside a later window.
+  for (std::size_t max_solutions : {1u, 64u})
+    expect_matches_serial(protocols::matching_skeleton(), max_solutions,
+                          {2, 4});
 }
 
 TEST(PortfolioSynthesis, GlobalBitIdenticalAcrossThreadCounts) {
