@@ -20,15 +20,13 @@ inline constexpr bool kStringLike =
     std::is_same_v<std::decay_t<T>, char*>;
 
 // Integers a stream prints as decimal digits. bool prints as 1/0 and the
-// character types print as characters (Value is an unsigned char), so
-// those are not among them.
+// char types print as characters (Value is an unsigned char), so those are
+// not among them.
 template <typename T>
 inline constexpr bool kDecimalInteger =
     std::is_integral_v<T> && !std::is_same_v<T, bool> &&
     !std::is_same_v<T, char> && !std::is_same_v<T, signed char> &&
-    !std::is_same_v<T, unsigned char> && !std::is_same_v<T, wchar_t> &&
-    !std::is_same_v<T, char8_t> && !std::is_same_v<T, char16_t> &&
-    !std::is_same_v<T, char32_t>;
+    !std::is_same_v<T, unsigned char>;
 
 template <typename T>
 inline constexpr bool kAppendable =
