@@ -262,8 +262,9 @@ TEST(Absint, ReplayAgreesWithRealizeTrail) {
     const auto replay = replay_trail(c.p, *live.trail());
     // Soundness: a statically-unrealizable verdict must never contradict a
     // concrete realization, and a realized trail must replay.
-    if (concrete.verdict == TrailRealization::kRealized)
+    if (concrete.verdict == TrailRealization::kRealized) {
       EXPECT_EQ(replay.verdict, TrailReplay::Verdict::kRealizable);
+    }
     if (replay.verdict == TrailReplay::Verdict::kUnrealizable) {
       EXPECT_NE(concrete.verdict, TrailRealization::kRealized);
       EXPECT_FALSE(replay.reason.empty());
