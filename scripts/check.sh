@@ -128,7 +128,7 @@ echo "== ASan: run =="
 # enumerator on the array protocols and 2,000 random arrays.
 "$repo/build-asan/tests/test_array_synthesis"
 # The portfolio evaluates and merges in a window of verdict slots reused
-# window after window; test_synthesis_parallel drives it at 1, 2 and 4
+# window after window; test_synthesis_parallel drives it at 1 to 4
 # lanes, with the quota met inside a later window. test_absint drives the
 # static lane, whose RS002 messages cat() builds without a stream.
 "$repo/build-asan/tests/test_synthesis_parallel"

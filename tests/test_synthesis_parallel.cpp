@@ -1,8 +1,8 @@
 // The parallel portfolio synthesizer: bit-identical SynthesisResult between
 // 1 and N lanes across the zoo (solutions, reports, counters), verdict-memo
 // reuse observable through synth.memo_hits, one computation per verdict
-// under concurrent lookups, quota early-exit determinism, and
-// nested-parallel-region safety.
+// under concurrent lookups, quota early-exit determinism, the windowed
+// merge's order and slot reuse, and nested-parallel-region safety.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,6 +12,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "helpers.hpp"
@@ -25,6 +26,7 @@
 #include "synthesis/array_synthesizer.hpp"
 #include "synthesis/global_synthesizer.hpp"
 #include "synthesis/local_synthesizer.hpp"
+#include "synthesis/portfolio.hpp"
 
 namespace ringstab {
 namespace {
@@ -214,11 +216,49 @@ TEST(PortfolioSynthesis, QuotaEarlyExitMatchesSerial) {
        {protocols::sum_not_two_empty(), protocols::agreement_empty(),
         protocols::monotone_empty(3)})
     expect_matches_serial(p, 1, {4});
-  // Matching's candidate batches span many windows of the portfolio's
-  // slots, so these quotas are met inside a later window.
+  // Matching's first two batches (2048 candidates each, many windows of the
+  // portfolio's slots) accept nothing; its first solution is the 4113th
+  // candidate, early in the third batch, so these runs reach the quota only
+  // after many windows and portfolio calls.
   for (std::size_t max_solutions : {1u, 64u})
     expect_matches_serial(protocols::matching_skeleton(), max_solutions,
                           {2, 4});
+}
+
+// run_portfolio evaluates and merges one window of kPortfolioSlotsPerLane
+// slots per lane at a time and reuses the slots. Its merge must see what a
+// serial loop sees: each index once, in order, with its own verdict, over a
+// short last window and up to a stop inside a later window. With a quota,
+// two provisional acceptances in the first window meet it, but the merge
+// counts neither: the lanes then skip every candidate, and the merge
+// computes each one it still needs into a reused slot.
+TEST(PortfolioSynthesis, WindowedMergeMatchesASerialLoop) {
+  const auto verdict_of = [](std::size_t i) { return 3 * i + 1; };
+  const auto provisional = [&](std::size_t v) {
+    return v == verdict_of(7) || v == verdict_of(9);
+  };
+  for (const std::size_t lanes : {1u, 2u, 3u, 4u}) {
+    const std::size_t window = kPortfolioSlotsPerLane * lanes;
+    const std::size_t n = 3 * window + 17;
+    const std::size_t stop_after = 2 * window + 5;
+    for (const std::size_t quota : {0u, 2u}) {
+      std::vector<std::pair<std::size_t, std::size_t>> merged;
+      run_portfolio<std::size_t>(
+          n, lanes, quota, verdict_of, provisional,
+          [&](std::size_t i, std::size_t v) {
+            if (quota != 0 && !merged.empty() &&
+                merged.back().first == stop_after)
+              return PortfolioStep::kStop;
+            merged.emplace_back(i, v);
+            return PortfolioStep::kContinue;
+          });
+      const std::string where = "lanes=" + std::to_string(lanes) +
+                                " quota=" + std::to_string(quota);
+      ASSERT_EQ(merged.size(), quota == 0 ? n : stop_after + 1) << where;
+      for (std::size_t i = 0; i < merged.size(); ++i)
+        ASSERT_EQ(merged[i], std::make_pair(i, verdict_of(i))) << where;
+    }
+  }
 }
 
 TEST(PortfolioSynthesis, GlobalBitIdenticalAcrossThreadCounts) {
