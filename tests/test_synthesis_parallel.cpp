@@ -230,8 +230,8 @@ TEST(PortfolioSynthesis, QuotaEarlyExitMatchesSerial) {
 // serial loop sees: each index once, in order, with its own verdict, over a
 // short last window and up to a stop inside a later window. With a quota,
 // two provisional acceptances in the first window meet it, but the merge
-// counts neither: the lanes then skip every candidate, and the merge
-// computes each one it still needs into a reused slot.
+// counts neither: the lanes then skip every candidate not yet started, and
+// the merge computes each one it still needs into a reused slot.
 TEST(PortfolioSynthesis, WindowedMergeMatchesASerialLoop) {
   const auto verdict_of = [](std::size_t i) { return 3 * i + 1; };
   const auto provisional = [&](std::size_t v) {
