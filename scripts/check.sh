@@ -127,9 +127,10 @@ echo "== ASan: run =="
 # per-state vectors; test_array_synthesis holds the BFS to the reference
 # enumerator on the array protocols and 2,000 random arrays.
 "$repo/build-asan/tests/test_array_synthesis"
-# The portfolio evaluates and merges in a window of verdict slots reused
-# window after window; test_synthesis_parallel drives it at 1 to 4
-# lanes, with the quota met inside a later window. test_absint drives the
+# The portfolio parks verdicts in a ring of slots, each reused once its
+# verdict is merged; test_synthesis_parallel drives it at 1 to 4 lanes
+# over several turns of the ring, with the quota met in a later turn, ring
+# waits and a throwing evaluation. test_absint drives the
 # static lane, whose RS002 messages cat() builds without a stream.
 "$repo/build-asan/tests/test_synthesis_parallel"
 "$repo/build-asan/tests/test_absint"

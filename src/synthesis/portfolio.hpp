@@ -5,23 +5,32 @@
 // Execution model. A synthesis run examines a list of candidate revisions;
 // each candidate's verdict (NPL fast path, trail search, fixed-K model
 // checking) is a pure function of (input protocol, candidate), so verdicts
-// may be computed on any lane in any order. run_portfolio() walks the
-// candidate list in windows of kPortfolioSlotsPerLane slots per lane. It
-// fans each window out over the process-wide thread pool at one candidate
-// per chunk (deterministic partition, dynamic lane assignment), parks each
-// verdict in its slot, and then merges the window's slots in ascending
-// candidate order on the caller before the next window reuses them —
-// reproducing the serial examination order, and therefore the
-// accepted-solution order, bit for bit at any thread count. The window
-// keeps the slot array small and reused: a slot per candidate (~320 B each
-// for the local synthesizer, thousands per batch) would be a fresh mapping
-// from the allocator, with its page faults, on every batch.
+// may be computed on any lane in any order. run_portfolio() runs one
+// region of the process-wide thread pool per call. Its lanes claim
+// candidates one at a time, in ascending order, from a shared cursor and
+// park each verdict in a ring of kPortfolioSlotsPerLane slots per lane.
+// The caller's lane merges the verdicts in ascending candidate order as
+// they land, and evaluates candidates of its own while the next one to
+// merge is still on another lane — reproducing the serial examination
+// order, and therefore the accepted-solution order, bit for bit at any
+// thread count. A lane claims a candidate only once the candidate a ring
+// before it has been merged, so the ring stays small and reused: a slot
+// per candidate (~320 B each for the local synthesizer, thousands per
+// batch) would be a fresh mapping from the allocator, with its page
+// faults, on every batch. Lanes wait only at the ring's bounds: a worker
+// whose next slot is not yet merged sleeps until the merge frees it, and
+// the caller, when the verdict it must merge next is still being computed
+// and it can claim nothing, yields until it lands. One region per call,
+// not one per ring's worth of candidates, keeps worker wake-ups and joins
+// off the merge's path: with a region per 256 candidates, a 2-lane
+// synthesis of the matching skeleton paid ~17 of them per run, and its run
+// time spread with the host's load.
 //
 // Cooperative early exit. Accepting synthesizers stop at a solution quota.
 // Lanes bump an atomic claim counter per provisional acceptance; once the
 // claims reach the quota, remaining lanes skip their candidates outright
 // (no wasted trail searches — the ascending merge would discard those
-// verdicts anyway). Because the chunk cursor hands candidates out in
+// verdicts anyway). Because the shared cursor hands candidates out in
 // roughly ascending order, a skipped candidate is almost never one the
 // merge still needs; when it is (quota claimed by higher-index candidates
 // first), the merge recomputes it inline, keeping results exact.
@@ -47,6 +56,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -198,14 +208,15 @@ void memo_append_query(std::string& key, const TrailQuery& query);
 /// Merge-loop control for run_portfolio.
 enum class PortfolioStep { kContinue, kStop };
 
-/// Verdict slots per lane in run_portfolio's window. At 2 lanes the
-/// local synthesizer's window is ~80 KB, below glibc's 128 KiB mmap
-/// threshold, so it comes from the heap and is reused window after window.
+/// Verdict slots per lane in run_portfolio's ring. At 2 lanes the local
+/// synthesizer's ring is ~80 KB, below glibc's 128 KiB mmap threshold, so
+/// it comes from the heap rather than a fresh mapping per call.
 inline constexpr std::size_t kPortfolioSlotsPerLane = 128;
 
 /// Evaluate candidates [0, n) on `num_threads` lanes and merge the verdicts
-/// in ascending candidate order on the calling thread, one window of
-/// kPortfolioSlotsPerLane slots per lane at a time.
+/// in ascending candidate order on the calling thread, which merges while
+/// the other lanes evaluate. No candidate is claimed more than
+/// kPortfolioSlotsPerLane slots per lane ahead of the merge.
 ///
 ///  * `evaluate(i) -> Verdict` must be a pure function of i (it runs on an
 ///    arbitrary lane, possibly twice for a skipped-but-needed candidate).
@@ -222,9 +233,33 @@ void run_portfolio(std::size_t n, std::size_t num_threads,
                    const AcceptFn& is_accepted, const MergeFn& merge) {
   if (n == 0) return;
   const std::size_t lanes = std::max<std::size_t>(num_threads, 1);
-  const std::size_t window = std::min(n, kPortfolioSlotsPerLane * lanes);
-  std::vector<std::optional<Verdict>> slots(window);
+  const std::size_t ring = std::min(n, kPortfolioSlotsPerLane * lanes);
+  // Candidate i parks its verdict in slot i % ring from its evaluation to
+  // its merge; a slot that is done but holds no verdict was skipped.
+  struct Slot {
+    std::optional<Verdict> verdict;
+    std::atomic<bool> done{false};
+  };
+  std::vector<Slot> slots(ring);
+  std::atomic<std::size_t> next{0};    // the next candidate to claim
+  std::atomic<std::size_t> merged{0};  // candidates merged so far
+  std::atomic<bool> stop{false};       // the merge has ended, or a lane threw
   std::atomic<std::size_t> claims{0};
+  // A worker that finds the ring full sleeps on `room`. The merge wakes it
+  // once per half ring of merged candidates, not per candidate: a worker
+  // woken for each freed slot would, whenever the caller's lane runs slow,
+  // sleep and wake once per candidate. The merge takes the mutex only while
+  // some worker is asleep (the seq_cst order of `merged` and `sleepers`
+  // keeps that from losing a wake-up).
+  const std::size_t wake_every = std::max<std::size_t>(ring / 2, 1);
+  std::mutex room_mu;
+  std::condition_variable room;
+  std::atomic<std::size_t> sleepers{0};
+  const auto wake_sleepers = [&] {
+    if (sleepers.load() == 0) return;
+    const std::lock_guard lock(room_mu);
+    room.notify_all();
+  };
   // How many lanes had already seen the quota satisfied is a race, hence
   // approx; verdict latency is timing-shaped (p99 = the hard candidates).
   obs::Counter& skipped =
@@ -237,30 +272,104 @@ void run_portfolio(std::size_t n, std::size_t num_threads,
     verdict_ns.record(obs::now() - t0);
     return v;
   };
-  for (std::size_t first = 0; first < n; first += window) {
-    const std::size_t len = std::min(window, n - first);
-    parallel_for(len, num_threads, /*grain=*/1,
-                 [&](const ChunkRange& chunk, std::size_t) {
-                   for (std::uint64_t j = chunk.begin; j < chunk.end; ++j) {
-                     if (accept_quota != 0 &&
-                         claims.load(std::memory_order_relaxed) >=
-                             accept_quota) {
-                       skipped.add(1);
-                       continue;
-                     }
-                     slots[j].emplace(timed_evaluate(first + j));
-                     if (is_accepted(*slots[j]))
-                       claims.fetch_add(1, std::memory_order_relaxed);
-                   }
-                 });
-    for (std::size_t j = 0; j < len; ++j) {
-      std::optional<Verdict>& slot = slots[j];
-      if (!slot) slot.emplace(timed_evaluate(first + j));  // skipped, needed
-      const PortfolioStep step = merge(first + j, std::move(*slot));
-      slot.reset();
-      if (step == PortfolioStep::kStop) return;
+  // Traced runs show each evaluation as a slice on the lane that ran it,
+  // labelled with the caller's innermost phase (read here, on the caller).
+  const char* region = obs::enabled() ? obs::current_span_name() : nullptr;
+  if (region == nullptr) region = "run_portfolio";
+  // The next candidate, once the candidate a ring before it is merged and
+  // its slot free; n when every candidate is claimed, n + 1 while the ring
+  // is full.
+  const auto claim = [&] {
+    std::size_t i = next.load(std::memory_order_relaxed);
+    while (true) {
+      if (i >= n) return n;
+      if (i >= merged.load(std::memory_order_acquire) + ring) return n + 1;
+      if (next.compare_exchange_weak(i, i + 1, std::memory_order_relaxed))
+        return i;
     }
+  };
+  const auto evaluate_into = [&](std::size_t i) {
+    Slot& slot = slots[i % ring];
+    if (accept_quota != 0 &&
+        claims.load(std::memory_order_relaxed) >= accept_quota) {
+      skipped.add(1);
+    } else {
+      {
+        const obs::Span span(region, /*chunk=*/true);
+        slot.verdict.emplace(timed_evaluate(i));
+      }
+      if (is_accepted(*slot.verdict))
+        claims.fetch_add(1, std::memory_order_relaxed);
+    }
+    slot.done.store(true, std::memory_order_release);
+  };
+  // The caller's lane merges each verdict as soon as it and every earlier
+  // one have landed, and evaluates a candidate of its own while the next
+  // one to merge is still on another lane.
+  const auto merge_lane = [&] {
+    for (std::size_t m = 0; m < n;) {
+      Slot& slot = slots[m % ring];
+      if (slot.done.load(std::memory_order_acquire)) {
+        if (!slot.verdict)  // skipped, but the merge needs it
+          slot.verdict.emplace(timed_evaluate(m));
+        const PortfolioStep step = merge(m, std::move(*slot.verdict));
+        slot.verdict.reset();
+        slot.done.store(false, std::memory_order_relaxed);
+        merged.store(++m);
+        if (m % wake_every == 0) wake_sleepers();
+        if (step == PortfolioStep::kStop) return;
+      } else if (const std::size_t i = claim(); i < n) {
+        evaluate_into(i);
+      } else if (stop.load(std::memory_order_acquire)) {
+        return;  // the lane evaluating candidate m threw
+      } else {
+        std::this_thread::yield();  // candidate m is on another lane
+      }
+    }
+  };
+  if (lanes == 1) {
+    merge_lane();
+    return;
   }
+  // One pool region per call: workers join once and leave when every
+  // candidate is claimed or the merge has ended, so the caller's lane never
+  // waits on a worker's wake-up between groups of candidates.
+  const auto end_merge = [&] {  // no worker sleeps on a merge that has ended
+    stop.store(true);
+    wake_sleepers();
+  };
+  ThreadPool::shared().run(lanes, [&](std::size_t lane) {
+    const obs::LaneScope lane_scope(static_cast<std::uint32_t>(lane));
+    if (lane == 0) {
+      struct OnExit {
+        decltype(end_merge)& run;
+        ~OnExit() { run(); }
+      } const on_exit{end_merge};
+      merge_lane();
+      return;
+    }
+    try {
+      while (!stop.load(std::memory_order_acquire)) {
+        const std::size_t i = claim();
+        if (i == n) return;
+        if (i < n) {
+          evaluate_into(i);
+          continue;
+        }
+        // The ring is full: sleep until the merge has freed slots or ended.
+        std::unique_lock lock(room_mu);
+        ++sleepers;
+        room.wait(lock, [&] {
+          const std::size_t c = next.load();
+          return stop.load() || c >= n || c < merged.load() + ring;
+        });
+        --sleepers;
+      }
+    } catch (...) {
+      stop.store(true);
+      throw;
+    }
+  });
 }
 
 }  // namespace ringstab

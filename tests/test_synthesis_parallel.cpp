@@ -1,8 +1,9 @@
 // The parallel portfolio synthesizer: bit-identical SynthesisResult between
 // 1 and N lanes across the zoo (solutions, reports, counters), verdict-memo
 // reuse observable through synth.memo_hits, one computation per verdict
-// under concurrent lookups, quota early-exit determinism, the windowed
-// merge's order and slot reuse, and nested-parallel-region safety.
+// under concurrent lookups, quota early-exit determinism, the ring merge's
+// order, slot reuse, waits and exceptions, and nested-parallel-region
+// safety.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -216,31 +217,32 @@ TEST(PortfolioSynthesis, QuotaEarlyExitMatchesSerial) {
        {protocols::sum_not_two_empty(), protocols::agreement_empty(),
         protocols::monotone_empty(3)})
     expect_matches_serial(p, 1, {4});
-  // Matching's first two batches (2048 candidates each, many windows of the
-  // portfolio's slots) accept nothing; its first solution is the 4113th
+  // Matching's first two batches (2048 candidates each, many turns of the
+  // portfolio's slot ring) accept nothing; its first solution is the 4113th
   // candidate, early in the third batch, so these runs reach the quota only
-  // after many windows and portfolio calls.
+  // after many turns of the ring and portfolio calls.
   for (std::size_t max_solutions : {1u, 64u})
     expect_matches_serial(protocols::matching_skeleton(), max_solutions,
                           {2, 4});
 }
 
-// run_portfolio evaluates and merges one window of kPortfolioSlotsPerLane
-// slots per lane at a time and reuses the slots. Its merge must see what a
-// serial loop sees: each index once, in order, with its own verdict, over a
-// short last window and up to a stop inside a later window. With a quota,
-// two provisional acceptances in the first window meet it, but the merge
-// counts neither: the lanes then skip every candidate not yet started, and
-// the merge computes each one it still needs into a reused slot.
-TEST(PortfolioSynthesis, WindowedMergeMatchesASerialLoop) {
+// run_portfolio parks verdicts in a ring of kPortfolioSlotsPerLane slots per
+// lane and reuses each slot once its verdict is merged. Its merge must see
+// what a serial loop sees: each index once, in order, with its own verdict,
+// over three turns of the ring and a short fourth, and up to a stop in the
+// third. With a quota, two provisional acceptances among the first
+// candidates meet it, but the merge counts neither: the lanes then skip
+// every candidate not yet started, and the merge computes each one it still
+// needs into a reused slot.
+TEST(PortfolioSynthesis, RingMergeMatchesASerialLoop) {
   const auto verdict_of = [](std::size_t i) { return 3 * i + 1; };
   const auto provisional = [&](std::size_t v) {
     return v == verdict_of(7) || v == verdict_of(9);
   };
   for (const std::size_t lanes : {1u, 2u, 3u, 4u}) {
-    const std::size_t window = kPortfolioSlotsPerLane * lanes;
-    const std::size_t n = 3 * window + 17;
-    const std::size_t stop_after = 2 * window + 5;
+    const std::size_t ring = kPortfolioSlotsPerLane * lanes;
+    const std::size_t n = 3 * ring + 17;
+    const std::size_t stop_after = 2 * ring + 5;
     for (const std::size_t quota : {0u, 2u}) {
       std::vector<std::pair<std::size_t, std::size_t>> merged;
       run_portfolio<std::size_t>(
@@ -258,6 +260,51 @@ TEST(PortfolioSynthesis, WindowedMergeMatchesASerialLoop) {
       for (std::size_t i = 0; i < merged.size(); ++i)
         ASSERT_EQ(merged[i], std::make_pair(i, verdict_of(i))) << where;
     }
+  }
+}
+
+// A slow candidate at the start of each turn of the ring holds the merge
+// back: whichever lane evaluates it, the others fill the ring and wait at
+// its bound (a worker asleep, the caller yielding) until the merge catches
+// up. A candidate whose evaluation throws ends the call with its exception,
+// whichever lane meets it, after merging only candidates before it.
+TEST(PortfolioSynthesis, RingWaitsAndThrowsEndTheCall) {
+  const auto never = [](std::size_t) { return false; };
+  for (const std::size_t lanes : {1u, 2u, 3u, 4u}) {
+    const std::size_t ring = kPortfolioSlotsPerLane * lanes;
+    const std::size_t n = 4 * ring;
+    const std::string where = "lanes=" + std::to_string(lanes);
+    std::vector<std::size_t> merged;
+    const auto merge = [&](std::size_t i, std::size_t v) {
+      EXPECT_EQ(v, i) << where;
+      merged.push_back(i);
+      return PortfolioStep::kContinue;
+    };
+    run_portfolio<std::size_t>(
+        n, lanes, 0,
+        [&](std::size_t i) {
+          if (i % ring == 0)
+            std::this_thread::sleep_for(std::chrono::milliseconds(5));
+          return i;
+        },
+        never, merge);
+    ASSERT_EQ(merged.size(), n) << where;
+    for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(merged[i], i) << where;
+
+    const std::size_t bad = ring + 3;
+    merged.clear();
+    EXPECT_THROW(run_portfolio<std::size_t>(
+                     n, lanes, 0,
+                     [&](std::size_t i) {
+                       if (i == bad) throw std::runtime_error("no verdict");
+                       return i;
+                     },
+                     never, merge),
+                 std::runtime_error)
+        << where;
+    ASSERT_LE(merged.size(), bad) << where;
+    for (std::size_t i = 0; i < merged.size(); ++i)
+      ASSERT_EQ(merged[i], i) << where;
   }
 }
 
