@@ -18,9 +18,9 @@
 #include <utility>
 #include <vector>
 
+#include "obs/metrics_json.hpp"
 #include "obs/obs.hpp"
 #include "obs/session.hpp"
-#include "obs/sinks.hpp"
 
 namespace ringstab::bench {
 

@@ -10,7 +10,8 @@
 #                               +test_ring_instance+test_array+test_tree
 #                               +test_graph+test_deadlock+test_lint
 #                               +test_synthesis+test_array_synthesis
-#                               +test_synthesis_parallel+test_absint + CLI
+#                               +test_synthesis_parallel+test_absint
+#                               +test_obs+test_serve + CLI
 #                               parsing/synthesis/lint tests, UBSan
 #                               core/local/analysis test binaries
 #                               +test_checker+test_parallel_scc+test_symmetry
@@ -91,14 +92,15 @@ if [[ "$mode" == "--tsan" ]]; then
   exit 0
 fi
 
-echo "== ASan: build test_checker + test_parallel_scc + test_symmetry + instance tests + test_graph + test_deadlock + test_lint + test_synthesis + test_array_synthesis + test_synthesis_parallel + test_absint + CLI tools =="
+echo "== ASan: build test_checker + test_parallel_scc + test_symmetry + instance tests + test_graph + test_deadlock + test_lint + test_synthesis + test_array_synthesis + test_synthesis_parallel + test_absint + test_obs + test_serve + CLI tools =="
 cmake -B "$repo/build-asan" -S "$repo" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DRINGSTAB_SANITIZE=address
 cmake --build "$repo/build-asan" -j "$jobs" \
       --target test_checker test_parallel_scc test_symmetry \
                test_ring_instance test_array test_tree test_graph \
                test_deadlock test_lint test_synthesis test_array_synthesis \
-               test_synthesis_parallel test_absint ringstab_cli ringstab_batch
+               test_synthesis_parallel test_absint test_obs test_serve \
+               ringstab_cli ringstab_batch
 
 echo "== ASan: run =="
 # The acyclic and Tarjan passes index the rank arrays from explicit stacks;
@@ -134,6 +136,13 @@ echo "== ASan: run =="
 # static lane, whose RS002 messages cat() builds without a stream.
 "$repo/build-asan/tests/test_synthesis_parallel"
 "$repo/build-asan/tests/test_absint"
+# obs::json is the one JSON reader: the manifests, the serve wire codec and
+# lint's diagnostics JSON parse through it, and it escapes for every JSON
+# writer. test_obs drives its parser to and past the nesting bound, and
+# test_serve drives the wire codec and the daemon with hostile lines (an
+# oversized one, a 200,000-deep one), with the TSan stage's filter.
+"$repo/build-asan/tests/test_obs"
+"$repo/build-asan/tests/test_serve" --gtest_filter='-ServeZooHeavy.*'
 ctest --test-dir "$repo/build-asan" --output-on-failure -j "$jobs" \
       -R 'cli_(bad_k|negative_k|missing_flag_value|flag_value_flag|batch_missing_value|check_symmetry|batch_symmetry|bad_jobs|synth_alias|synthesize_jobs|synthesize_bad_jobs|batch_synth|lint|lint_json|lint_error|batch_lint)'
 

@@ -1,10 +1,12 @@
 #include "analysis/diagnostic.hpp"
 
-#include <cctype>
+#include <charconv>
 #include <sstream>
+#include <system_error>
 
 #include "core/fmt.hpp"
 #include "core/types.hpp"
+#include "obs/metrics_json.hpp"
 
 namespace ringstab {
 
@@ -34,200 +36,17 @@ std::string render_text(const std::vector<Diagnostic>& diags) {
   return os.str();
 }
 
-namespace {
-
-void json_escape(std::ostringstream& os, std::string_view s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      case '\r': os << "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          static const char* hex = "0123456789abcdef";
-          os << "\\u00" << hex[(c >> 4) & 0xf] << hex[c & 0xf];
-        } else {
-          os << c;
-        }
-    }
-  }
-}
-
-/// Minimal recursive-descent reader for the exact shape render_json emits.
-class JsonReader {
- public:
-  explicit JsonReader(std::string_view s) : s_(s) {}
-
-  std::vector<Diagnostic> read() {
-    std::vector<Diagnostic> out;
-    expect('{');
-    expect_key("diagnostics");
-    expect('[');
-    skip_ws();
-    if (!at(']')) {
-      for (;;) {
-        out.push_back(read_diag());
-        skip_ws();
-        if (at(',')) {
-          ++pos_;
-          continue;
-        }
-        break;
-      }
-    }
-    expect(']');
-    expect('}');
-    skip_ws();
-    if (pos_ != s_.size()) fail("trailing content");
-    return out;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& msg) const {
-    throw ParseError(cat("diagnostics JSON: ", msg, " at offset ", pos_));
-  }
-
-  void skip_ws() {
-    while (pos_ < s_.size() &&
-           std::isspace(static_cast<unsigned char>(s_[pos_])))
-      ++pos_;
-  }
-
-  bool at(char c) const { return pos_ < s_.size() && s_[pos_] == c; }
-
-  void expect(char c) {
-    skip_ws();
-    if (!at(c)) fail(cat("expected '", c, "'"));
-    ++pos_;
-  }
-
-  void expect_key(std::string_view key) {
-    const std::string got = read_string();
-    if (got != key) fail(cat("expected key \"", std::string(key), "\""));
-    expect(':');
-  }
-
-  std::string read_string() {
-    expect('"');
-    std::string out;
-    while (pos_ < s_.size() && s_[pos_] != '"') {
-      char c = s_[pos_++];
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
-      if (pos_ >= s_.size()) fail("unterminated escape");
-      const char e = s_[pos_++];
-      switch (e) {
-        case '"': out.push_back('"'); break;
-        case '\\': out.push_back('\\'); break;
-        case '/': out.push_back('/'); break;
-        case 'n': out.push_back('\n'); break;
-        case 't': out.push_back('\t'); break;
-        case 'r': out.push_back('\r'); break;
-        case 'b': out.push_back('\b'); break;
-        case 'f': out.push_back('\f'); break;
-        case 'u': {
-          if (pos_ + 4 > s_.size()) fail("truncated \\u escape");
-          int v = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = s_[pos_++];
-            v <<= 4;
-            if (h >= '0' && h <= '9') v |= h - '0';
-            else if (h >= 'a' && h <= 'f') v |= h - 'a' + 10;
-            else if (h >= 'A' && h <= 'F') v |= h - 'A' + 10;
-            else fail("bad \\u escape");
-          }
-          if (v > 0x7f) fail("non-ASCII \\u escape unsupported");
-          out.push_back(static_cast<char>(v));
-          break;
-        }
-        default: fail(cat("unknown escape '\\", e, "'"));
-      }
-    }
-    if (pos_ >= s_.size()) fail("unterminated string");
-    ++pos_;  // closing quote
-    return out;
-  }
-
-  long long read_int() {
-    skip_ws();
-    bool neg = false;
-    if (at('-')) {
-      neg = true;
-      ++pos_;
-    }
-    if (pos_ >= s_.size() ||
-        !std::isdigit(static_cast<unsigned char>(s_[pos_])))
-      fail("expected integer");
-    long long v = 0;
-    while (pos_ < s_.size() &&
-           std::isdigit(static_cast<unsigned char>(s_[pos_]))) {
-      v = v * 10 + (s_[pos_++] - '0');
-      if (v > 1'000'000'000) fail("integer too large");
-    }
-    return neg ? -v : v;
-  }
-
-  Diagnostic read_diag() {
-    Diagnostic d;
-    expect('{');
-    expect_key("code");
-    skip_ws();
-    d.code = read_string();
-    expect(',');
-    expect_key("severity");
-    skip_ws();
-    const std::string sev = read_string();
-    if (sev == "error") d.severity = Severity::kError;
-    else if (sev == "warning") d.severity = Severity::kWarning;
-    else if (sev == "note") d.severity = Severity::kNote;
-    else fail(cat("unknown severity \"", sev, "\""));
-    expect(',');
-    expect_key("message");
-    skip_ws();
-    d.message = read_string();
-    expect(',');
-    expect_key("hint");
-    skip_ws();
-    d.hint = read_string();
-    expect(',');
-    expect_key("file");
-    skip_ws();
-    d.file = read_string();
-    expect(',');
-    expect_key("line");
-    d.span.line = static_cast<int>(read_int());
-    expect(',');
-    expect_key("column");
-    d.span.column = static_cast<int>(read_int());
-    expect('}');
-    return d;
-  }
-
-  std::string_view s_;
-  std::size_t pos_ = 0;
-};
-
-}  // namespace
-
 std::string render_json(const std::vector<Diagnostic>& diags) {
   std::ostringstream os;
   os << "{\n  \"diagnostics\": [";
   bool first = true;
   for (const auto& d : diags) {
-    os << (first ? "\n" : ",\n") << "    {\"code\": \"";
-    json_escape(os, d.code);
-    os << "\", \"severity\": \"" << severity_name(d.severity)
-       << "\", \"message\": \"";
-    json_escape(os, d.message);
-    os << "\", \"hint\": \"";
-    json_escape(os, d.hint);
-    os << "\", \"file\": \"";
-    json_escape(os, d.file);
-    os << "\", \"line\": " << d.span.line
+    os << (first ? "\n" : ",\n") << "    {\"code\": \""
+       << obs::json_escape(d.code) << "\", \"severity\": \""
+       << severity_name(d.severity) << "\", \"message\": \""
+       << obs::json_escape(d.message) << "\", \"hint\": \""
+       << obs::json_escape(d.hint) << "\", \"file\": \""
+       << obs::json_escape(d.file) << "\", \"line\": " << d.span.line
        << ", \"column\": " << d.span.column << "}";
     first = false;
   }
@@ -235,8 +54,80 @@ std::string render_json(const std::vector<Diagnostic>& diags) {
   return os.str();
 }
 
-std::vector<Diagnostic> parse_diagnostics_json(std::string_view json) {
-  return JsonReader(json).read();
+namespace {
+
+namespace json = obs::json;
+
+[[noreturn]] void fail(std::string_view msg) {
+  throw ParseError(cat("diagnostics JSON: ", msg));
+}
+
+/// One entry of render_json's array: its seven members in render order.
+Diagnostic read_entry(const json::Value& entry, std::size_t index) {
+  const std::string where = cat("entry ", index, ": ");
+  if (!entry.is_object()) fail(cat(where, "expected an object"));
+  std::size_t next = 0;
+  // The next member, which must be named `key`.
+  const auto member = [&](std::string_view key) -> const json::Value& {
+    if (next == entry.members.size())
+      fail(cat(where, "missing key \"", key, "\""));
+    const auto& [name, value] = entry.members[next++];
+    if (name != key)
+      fail(cat(where, "expected key \"", key, "\", found \"", name, "\""));
+    return value;
+  };
+  const auto text = [&](std::string_view key) -> const std::string& {
+    const json::Value& v = member(key);
+    if (!v.is_string()) fail(cat(where, "\"", key, "\" must be a string"));
+    return v.str;
+  };
+  const auto integer = [&](std::string_view key) {
+    constexpr long long kLimit = 1'000'000'000;
+    const json::Value& v = member(key);
+    const char* end = v.number.data() + v.number.size();
+    long long n = 0;
+    const auto [ptr, ec] = std::from_chars(v.number.data(), end, n);
+    if (!v.is_number() || ec != std::errc() || ptr != end || n < -kLimit ||
+        n > kLimit)
+      fail(cat(where, "\"", key, "\" must be an integer in [", -kLimit, ", ",
+               kLimit, "]"));
+    return static_cast<int>(n);
+  };
+
+  Diagnostic d;
+  d.code = text("code");
+  const std::string& severity = text("severity");
+  if (severity == "error") d.severity = Severity::kError;
+  else if (severity == "warning") d.severity = Severity::kWarning;
+  else if (severity == "note") d.severity = Severity::kNote;
+  else fail(cat(where, "unknown severity \"", severity, "\""));
+  d.message = text("message");
+  d.hint = text("hint");
+  d.file = text("file");
+  d.span.line = integer("line");
+  d.span.column = integer("column");
+  if (next != entry.members.size())
+    fail(cat(where, "unexpected key \"", entry.members[next].first, "\""));
+  return d;
+}
+
+}  // namespace
+
+std::vector<Diagnostic> parse_diagnostics_json(std::string_view text) {
+  json::Value doc;
+  try {
+    doc = json::parse(text);
+  } catch (const json::ParseError& e) {
+    fail(e.what());
+  }
+  const json::Value* list = doc.find("diagnostics");
+  if (doc.members.size() != 1 || list == nullptr || !list->is_array())
+    fail("expected an object whose one key is \"diagnostics\", an array");
+  std::vector<Diagnostic> out;
+  out.reserve(list->items.size());
+  for (std::size_t i = 0; i < list->items.size(); ++i)
+    out.push_back(read_entry(list->items[i], i));
+  return out;
 }
 
 }  // namespace ringstab

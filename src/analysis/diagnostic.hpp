@@ -42,7 +42,10 @@ std::string render_text(const std::vector<Diagnostic>& diags);
 std::string render_json(const std::vector<Diagnostic>& diags);
 
 /// Strict parser for render_json's output (round-trip testing and external
-/// tooling). Throws ParseError on malformed input.
-std::vector<Diagnostic> parse_diagnostics_json(std::string_view json);
+/// tooling): the document is read by obs::json::parse, and its shape must be
+/// render_json's, with the seven keys of each entry in order, string fields,
+/// integer line/column within +-10^9 and a known severity. Throws
+/// ParseError on malformed input.
+std::vector<Diagnostic> parse_diagnostics_json(std::string_view text);
 
 }  // namespace ringstab

@@ -76,13 +76,6 @@ class Collector {
   std::size_t pass_count_ = 0;
 };
 
-Digraph t_arc_graph(const Protocol& p) {
-  Digraph g(p.num_states());
-  for (const auto& t : p.delta())
-    g.add_arc(static_cast<VertexId>(t.from), static_cast<VertexId>(t.to));
-  return g;
-}
-
 std::optional<Cycle> find_t_arc_cycle(const Protocol& p) {
   const Digraph g = t_arc_graph(p);
   for (VertexId v = 0; v < g.num_vertices(); ++v) {

@@ -3,19 +3,15 @@
 #include <algorithm>
 
 #include "core/fmt.hpp"
-#include "graph/digraph.hpp"
 #include "graph/scc.hpp"
 
 namespace ringstab {
-namespace {
 
 Digraph t_arc_graph(const Protocol& p) {
   Digraph g(p.num_states());
   for (const auto& t : p.delta()) g.add_arc(t.from, t.to);
   return g;
 }
-
-}  // namespace
 
 bool is_self_disabling(const Protocol& p) {
   return std::all_of(p.delta().begin(), p.delta().end(),

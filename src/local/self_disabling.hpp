@@ -2,8 +2,13 @@
 #pragma once
 
 #include "core/protocol.hpp"
+#include "graph/digraph.hpp"
 
 namespace ringstab {
+
+/// The local t-arc graph: one vertex per local state and one arc per local
+/// transition, from its source to its target.
+Digraph t_arc_graph(const Protocol& p);
 
 /// Assumption 2: every local transition disables its own process (its
 /// target local state is a local deadlock).

@@ -1,8 +1,10 @@
 // A small self-contained JSON document model with a recursive-descent
-// parser and a compact serializer, shared by the run-manifest sink
-// (manifest.hpp) and the `ringstab-perf` regression tool.
+// parser, a compact serializer and the string escaper, shared by the
+// run-manifest sink (manifest.hpp), the trace/JSONL sinks (sinks.hpp), the
+// serve wire codec (serve/wire.hpp), lint's diagnostics JSON
+// (analysis/diagnostic.hpp) and the `ringstab-perf` regression tool.
 //
-// Two properties matter more than generality here:
+// Three properties matter more than generality here:
 //  * Round-trip fidelity: numbers keep their source text verbatim and
 //    object members keep insertion order, so parse → dump reproduces a
 //    document emitted by dump() byte for byte. The manifest schema is
@@ -10,6 +12,10 @@
 //    and tests/test_obs.cpp locks the emit → parse → re-emit loop in.
 //  * Diagnosable failure: parse errors throw with a byte offset, which
 //    ringstab-perf turns into its exit-code-2 schema errors.
+//  * Bounded recursion: arrays and objects may nest kMaxNesting deep, and
+//    deeper input is a ParseError, so a hostile wire line cannot overflow
+//    a connection thread's stack. The deepest document ringstab writes
+//    nests 5 levels.
 #pragma once
 
 #include <cstdint>
@@ -19,7 +25,19 @@
 #include <utility>
 #include <vector>
 
+namespace ringstab::obs {
+
+/// Escapes a JSON string body (no surrounding quotes): '"', '\\', '\n',
+/// '\t' and '\r' as two-character escapes, other control bytes as
+/// lowercase \u00xx, every other byte verbatim.
+std::string json_escape(std::string_view s);
+
+}  // namespace ringstab::obs
+
 namespace ringstab::obs::json {
+
+/// The deepest nesting of arrays and objects parse() accepts.
+inline constexpr std::size_t kMaxNesting = 64;
 
 class ParseError : public std::runtime_error {
  public:
@@ -67,7 +85,8 @@ struct Value {
   Value& push(Value v);
 };
 
-/// Parses one JSON document; trailing non-whitespace is an error.
+/// Parses one JSON document; trailing non-whitespace and nesting deeper
+/// than kMaxNesting are errors.
 Value parse(std::string_view text);
 
 /// Compact one-line serialization (no added whitespace); members in

@@ -237,7 +237,9 @@ class Histogram {
   };
 
   std::string name_;
-  std::unique_ptr<Shard[]> shards_;  // heap: ~32 KiB of buckets per shard
+  // Heap: kBuckets = 496 eight-byte buckets per shard, ~4 KiB, so ~32 KiB
+  // over the kShards shards.
+  std::unique_ptr<Shard[]> shards_;
 };
 
 /// A named instantaneous level (bytes live, RSS, …) with a tracked peak.

@@ -1,8 +1,9 @@
 #include "obs/sinks.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <iomanip>
+
+#include "obs/metrics_json.hpp"
 
 namespace ringstab::obs {
 namespace {
@@ -11,29 +12,6 @@ double ms(Ticks t) { return static_cast<double>(t) / 1e6; }
 double us(Ticks t) { return static_cast<double>(t) / 1e3; }
 
 }  // namespace
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 // ─── StatsSink ───────────────────────────────────────────────────────────
 

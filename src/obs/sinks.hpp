@@ -143,7 +143,4 @@ class FileSink : public Sink {
   bool warned_ = false;
 };
 
-/// JSON string escaping shared by the sinks (and reusable by benches).
-std::string json_escape(std::string_view s);
-
 }  // namespace ringstab::obs

@@ -156,6 +156,46 @@ TEST(Lint, EmptyDiagnosticsRenderAsEmptyArray) {
   EXPECT_EQ(render_text({}), "");
 }
 
+TEST(Lint, MalformedDiagnosticsJsonIsAParseError) {
+  Diagnostic d;
+  d.code = "RS003";
+  d.message = "overlap";
+  d.file = "f.ring";
+  d.span = SourceSpan{8, 1};
+  const std::string good = render_json({d});
+  const auto edit = [&](std::string_view from, std::string_view to) {
+    std::string s = good;
+    const std::size_t at = s.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return at == std::string::npos ? s : s.replace(at, from.size(), to);
+  };
+  // The bounds of line/column are inclusive.
+  Diagnostic far = d;
+  far.span = SourceSpan{1'000'000'000, -1'000'000'000};
+  EXPECT_EQ(parse_diagnostics_json(render_json({far})),
+            std::vector<Diagnostic>{far});
+
+  const std::pair<const char*, std::string> cases[] = {
+      {"not JSON", "not json"},
+      {"missing key", edit(", \"column\": 1", "")},
+      {"extra key", edit("\"column\": 1", "\"column\": 1, \"extra\": 0")},
+      {"string line", edit("\"line\": 8", "\"line\": \"8\"")},
+      {"fractional line", edit("\"line\": 8", "\"line\": 3.5")},
+      {"line out of range", edit("\"line\": 8", "\"line\": 1000000001")},
+      {"unknown severity", edit("\"warning\"", "\"fatal\"")},
+      {"keys out of order", edit("\"hint\": \"\", \"file\": \"f.ring\"",
+                                 "\"file\": \"f.ring\", \"hint\": \"\"")},
+      {"trailing content", good + "x"},
+      {"top level not an object", "[]"},
+      {"nesting past obs::json's bound", std::string(100'000, '[')},
+  };
+  for (const auto& [what, text] : cases) {
+    SCOPED_TRACE(what);
+    // ringstab::ParseError, never the obs::json::ParseError underneath.
+    EXPECT_THROW(parse_diagnostics_json(text), ParseError);
+  }
+}
+
 TEST(Lint, CertificateNotesAreGatedByOption) {
   // RS101/RS120 fixtures are clean by default: positive certificates only
   // appear when asked for, even though the discharge wiring is always on.

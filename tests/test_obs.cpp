@@ -1,10 +1,12 @@
 // The observability subsystem: sharded counter/histogram exactness under
 // threads, per-thread span nesting, Chrome trace-event export, the
-// manifest round-trip, and — the contract that matters — checker results
-// bit-identical with instrumentation on.
+// manifest round-trip, the JSON reader's nesting bound, and — the contract
+// that matters — checker results bit-identical with instrumentation on.
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -533,6 +535,65 @@ TEST(ObsManifest, ValidatorRejectsWrongSchemaAndBadNumbers) {
       R"("phases":[{"name":"p","calls":1,"total_ns":10,"self_ns":11}],)"
       R"("counters":[],"histograms":[],"gauges":[]})");
   EXPECT_NE(obs::validate_manifest(doc), "");
+}
+
+// ── JSON reader ─────────────────────────────────────────────────────
+
+/// Parses `text` on a fresh thread, as the daemon parses a request line on
+/// its connection thread, and returns the ParseError message ("" if none).
+std::string parse_error_on_a_thread(const std::string& text) {
+  std::string error;
+  std::thread([&] {
+    try {
+      obs::json::parse(text);
+    } catch (const obs::json::ParseError& e) {
+      error = e.what();
+    }
+  }).join();
+  return error;
+}
+
+std::string repeat(std::string_view s, std::size_t n) {
+  std::string out;
+  for (std::size_t i = 0; i < n; ++i) out += s;
+  return out;
+}
+
+// The parser recurses once per array or object: unbounded, a 100,000-deep
+// document would overflow a thread's stack.
+TEST(ObsJson, DeepNestingIsAParseErrorNotACrash) {
+  for (const std::string& deep :
+       {std::string(100'000, '['), repeat("{\"k\":", 100'000),
+        repeat("[{\"k\":", 50'000)})
+    EXPECT_NE(parse_error_on_a_thread(deep).find("nesting deeper than 64"),
+              std::string::npos);
+}
+
+TEST(ObsJson, NestingBoundCountsOpenContainersOnly) {
+  const std::size_t n = obs::json::kMaxNesting;
+  const auto arrays = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  const auto objects = [](std::size_t depth) {
+    return repeat("{\"k\":", depth) + "0" + std::string(depth, '}');
+  };
+  EXPECT_EQ(obs::json::dump(obs::json::parse(arrays(n))), arrays(n));
+  EXPECT_EQ(obs::json::dump(obs::json::parse(objects(n))), objects(n));
+  // One level more is refused at the container that opens it.
+  const auto error_offset = [](const std::string& text) {
+    try {
+      obs::json::parse(text);
+    } catch (const obs::json::ParseError& e) {
+      return e.offset();
+    }
+    return std::string::npos;
+  };
+  EXPECT_EQ(error_offset(arrays(n + 1)), n);
+  EXPECT_EQ(error_offset(objects(n + 1)), 5 * n);  // 5 bytes per {"k":
+  // Closed containers give their depth back: many siblings just under the
+  // bound parse.
+  const std::string wide = "[" + repeat(arrays(n - 1) + ",", 1000) + "0]";
+  EXPECT_EQ(obs::json::dump(obs::json::parse(wide)), wide);
 }
 
 TEST(ObsOverhead, NullSinkLeavesCheckerResultsBitIdentical) {

@@ -122,6 +122,9 @@ TEST(ServeWire, MalformedInputThrows) {
   EXPECT_THROW(decode_request(R"({"cmd":"check","options":{"nope":true}})"),
                ModelError);
   EXPECT_THROW(decode_response(R"({"exit":0})"), ModelError);  // no ok
+  // Nesting past obs::json::kMaxNesting is malformed, not a stack overflow.
+  EXPECT_THROW(decode_request(std::string(100'000, '[')), ModelError);
+  EXPECT_THROW(decode_response(std::string(100'000, '[')), ModelError);
 }
 
 // ── cache keys: distinct identities never collide ──
@@ -581,47 +584,95 @@ TEST(ServeServer, MalformedRequestGetsAnErrorResponseNotADisconnect) {
   server.stop();
 }
 
+/// One raw connection to the daemon at `path`, for bytes a Client never
+/// sends: sends all of `bytes` and reads one reply line. The caller closes
+/// `fd`, which is -1 when connecting or sending failed.
+struct RawExchange {
+  int fd = -1;
+  std::string reply;
+};
+
+RawExchange raw_exchange(const std::string& path, const std::string& bytes) {
+  RawExchange ex;
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  if (fd < 0 || ::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                          sizeof addr) != 0) {
+    ADD_FAILURE() << "connect: " << std::strerror(errno);
+    if (fd >= 0) ::close(fd);
+    return ex;
+  }
+  for (std::size_t off = 0; off < bytes.size();) {
+    const ssize_t n =
+        ::send(fd, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
+    if (n <= 0) {
+      ADD_FAILURE() << "send: " << std::strerror(errno);
+      ::close(fd);
+      return ex;
+    }
+    off += static_cast<std::size_t>(n);
+  }
+  char c = 0;
+  while (::read(fd, &c, 1) == 1 && c != '\n') ex.reply += c;
+  ex.fd = fd;
+  return ex;
+}
+
+/// The daemon at `path` still answers a new client.
+void expect_answers_a_new_client(const std::string& path) {
+  Client client(path);
+  Request good;
+  good.cmd = "lint";
+  good.source = "protocol p { }";
+  const Response next = client.request(good);
+  EXPECT_TRUE(next.ok) << next.error;
+}
+
 TEST(ServeServer, OversizedRequestLineIsRefusedThenDisconnected) {
   ServerOptions opts;
   opts.socket_path = socket_path("oversized");
   Server server(opts);
   server.start();
   {
-    // A raw connection sending one byte past the cap and no newline.
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    ASSERT_GE(fd, 0);
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    std::memcpy(addr.sun_path, opts.socket_path.c_str(),
-                opts.socket_path.size() + 1);
-    ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                        sizeof addr),
-              0);
-    const std::string flood(kMaxRequestLineBytes + 1, 'x');
-    for (std::size_t off = 0; off < flood.size();) {
-      const ssize_t n = ::send(fd, flood.data() + off, flood.size() - off,
-                               MSG_NOSIGNAL);
-      ASSERT_GT(n, 0) << std::strerror(errno);
-      off += static_cast<std::size_t>(n);
-    }
-    std::string reply;
-    char c = 0;
-    while (::read(fd, &c, 1) == 1 && c != '\n') reply += c;
-    const Response resp = decode_response(reply);
+    // One byte past the cap and no newline.
+    const RawExchange ex = raw_exchange(
+        opts.socket_path, std::string(kMaxRequestLineBytes + 1, 'x'));
+    ASSERT_GE(ex.fd, 0);
+    const Response resp = decode_response(ex.reply);
     EXPECT_FALSE(resp.ok);
     EXPECT_NE(resp.error.find(std::to_string(kMaxRequestLineBytes)),
               std::string::npos)
         << resp.error;
-    EXPECT_EQ(::read(fd, &c, 1), 0) << "the daemon hangs up after refusing";
-    ::close(fd);
+    char c = 0;
+    EXPECT_EQ(::read(ex.fd, &c, 1), 0) << "the daemon hangs up after refusing";
+    ::close(ex.fd);
   }
   // The daemon itself is unharmed: the next client is answered.
-  Client client(opts.socket_path);
-  Request good;
-  good.cmd = "lint";
-  good.source = "protocol p { }";
-  const Response next = client.request(good);
-  EXPECT_TRUE(next.ok) << next.error;
+  expect_answers_a_new_client(opts.socket_path);
+  server.stop();
+}
+
+TEST(ServeServer, DeeplyNestedRequestLineGetsAnErrorNotACrash) {
+  ServerOptions opts;
+  opts.socket_path = socket_path("deep");
+  Server server(opts);
+  server.start();
+  {
+    // One line of 200,000 '[', under the line cap: parsed with unbounded
+    // recursion, it would overflow the connection thread's stack and take
+    // the daemon down.
+    const RawExchange ex =
+        raw_exchange(opts.socket_path, std::string(200'000, '[') + "\n");
+    ASSERT_GE(ex.fd, 0);
+    const Response resp = decode_response(ex.reply);
+    EXPECT_FALSE(resp.ok);
+    EXPECT_NE(resp.error.find("nesting deeper than"), std::string::npos)
+        << resp.error;
+    ::close(ex.fd);
+  }
+  expect_answers_a_new_client(opts.socket_path);
   server.stop();
 }
 
