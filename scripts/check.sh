@@ -7,6 +7,7 @@
 #                               +test_herman+the report's thread-count
 #                               test, ASan
 #                               test_checker+test_parallel_scc+test_symmetry
+#                               +test_parallel+test_property_random
 #                               +test_ring_instance+test_array+test_tree
 #                               +test_graph+test_deadlock+test_lint
 #                               +test_synthesis+test_array_synthesis
@@ -15,6 +16,7 @@
 #                               parsing/synthesis/lint tests, UBSan
 #                               core/local/analysis test binaries
 #                               +test_checker+test_parallel_scc+test_symmetry
+#                               +test_parallel+test_property_random
 #                               +test_ring_instance+test_array+test_tree
 #                               +test_graph+test_synthesis
 #                               +test_array_synthesis+test_absint
@@ -92,11 +94,12 @@ if [[ "$mode" == "--tsan" ]]; then
   exit 0
 fi
 
-echo "== ASan: build test_checker + test_parallel_scc + test_symmetry + instance tests + test_graph + test_deadlock + test_lint + test_synthesis + test_array_synthesis + test_synthesis_parallel + test_absint + test_obs + test_serve + CLI tools =="
+echo "== ASan: build test_checker + test_parallel_scc + test_symmetry + test_parallel + test_property_random + instance tests + test_graph + test_deadlock + test_lint + test_synthesis + test_array_synthesis + test_synthesis_parallel + test_absint + test_obs + test_serve + CLI tools =="
 cmake -B "$repo/build-asan" -S "$repo" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DRINGSTAB_SANITIZE=address
 cmake --build "$repo/build-asan" -j "$jobs" \
-      --target test_checker test_parallel_scc test_symmetry \
+      --target test_checker test_parallel_scc test_symmetry test_parallel \
+               test_property_random \
                test_ring_instance test_array test_tree test_graph \
                test_deadlock test_lint test_synthesis test_array_synthesis \
                test_synthesis_parallel test_absint test_obs test_serve \
@@ -109,6 +112,14 @@ echo "== ASan: run =="
 "$repo/build-asan/tests/test_checker"
 "$repo/build-asan/tests/test_parallel_scc"
 "$repo/build-asan/tests/test_symmetry"
+# The successor kernel indexes the move table by maintained local states,
+# and the cursor updates them through the reader table: test_parallel holds
+# both to the divmod decode and successors() at every state of zoo rings,
+# arrays and trees, and test_property_random holds the checker and the
+# quotient to testing::reference_check on random rings, arrays and trees up
+# to K=12.
+"$repo/build-asan/tests/test_parallel"
+"$repo/build-asan/tests/test_property_random"
 # Array and tree windows read the ⊥ slot, digit K of every K+1-long digit
 # buffer; these three drive it through every entry point and the checker.
 "$repo/build-asan/tests/test_ring_instance"
@@ -146,13 +157,14 @@ echo "== ASan: run =="
 ctest --test-dir "$repo/build-asan" --output-on-failure -j "$jobs" \
       -R 'cli_(bad_k|negative_k|missing_flag_value|flag_value_flag|batch_missing_value|check_symmetry|batch_symmetry|bad_jobs|synth_alias|synthesize_jobs|synthesize_bad_jobs|batch_synth|lint|lint_json|lint_error|batch_lint)'
 
-echo "== UBSan: build core/local/analysis + checker + quotient + instance + graph + synthesis + static-lane + printer test binaries =="
+echo "== UBSan: build core/local/analysis + checker + quotient + kernel + differential + instance + graph + synthesis + static-lane + printer test binaries =="
 cmake -B "$repo/build-ubsan" -S "$repo" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DRINGSTAB_SANITIZE=undefined
 cmake --build "$repo/build-ubsan" -j "$jobs" \
       --target test_domain test_local_state test_protocol test_parser \
                test_deadlock test_livelock test_lint test_checker \
-               test_parallel_scc test_symmetry test_ring_instance test_array \
+               test_parallel_scc test_symmetry test_parallel \
+               test_property_random test_ring_instance test_array \
                test_tree test_graph test_synthesis test_array_synthesis \
                test_absint test_printer
 
@@ -163,20 +175,25 @@ echo "== UBSan: run =="
 # drives the rotation quotient: the rotation scan's digit indexing on rings
 # up to K=100, the popcount rank and select over the ¬I necklace bitset's
 # word prefix, and the census's bit writes from slot chunks whose id ranges
-# are not 64-aligned. test_ring_instance, test_array and test_tree drive
-# the array and tree index tables, whose out-of-range offsets read the ⊥
-# slot. test_graph drives the Resolve-set search's memo arena and its
-# probe's generation stamps, wrap included, on graphs of 2 to 200,000
-# vertices; test_synthesis drives the search through both synthesizers.
+# are not 64-aligned. test_parallel drives the successor kernel's move
+# table and the cursor's reader-table updates, whose carries wrap unsigned
+# local-state sums, against the divmod decode and successors();
+# test_property_random holds the checker and the quotient to
+# testing::reference_check on random rings, arrays and trees up to K=12.
+# test_ring_instance, test_array and test_tree drive the array and tree
+# index tables, whose out-of-range offsets read the ⊥ slot. test_graph
+# drives the Resolve-set search's memo arena and its probe's generation
+# stamps, wrap included, on graphs of 2 to 200,000 vertices;
+# test_synthesis drives the search through both synthesizers.
 # test_array_synthesis drives the array Resolve-set BFS and the candidate
 # odometer's decode. test_local_state drives right_continues' division and
 # modulo over every window shape. test_absint drives the static lane, and
 # test_printer holds cat()'s to_chars path to a stream on extreme integers.
 for t in test_domain test_local_state test_protocol test_parser \
          test_deadlock test_livelock test_lint test_checker \
-         test_parallel_scc test_symmetry test_ring_instance test_array \
-         test_tree test_graph test_synthesis test_array_synthesis \
-         test_absint test_printer; do
+         test_parallel_scc test_symmetry test_parallel test_property_random \
+         test_ring_instance test_array test_tree test_graph test_synthesis \
+         test_array_synthesis test_absint test_printer; do
   "$repo/build-ubsan/tests/$t"
 done
 

@@ -106,7 +106,6 @@ void GlobalChecker::ensure_graph() const {
   parallel_for(n, num_threads_, 0, [&](const ChunkRange& chunk, std::size_t) {
     ChunkGraph& mine = part[chunk.index];
     auto cur = ring_->cursor(chunk.begin);
-    std::vector<RingInstance::Step> succ;
     // chunk.begin is a multiple of 64, so its rank is a word prefix.
     std::uint32_t r = static_cast<std::uint32_t>(word_rank_[chunk.begin >> 6]);
     for (GlobalStateId s = chunk.begin; s < chunk.end; ++s, cur.advance()) {
@@ -114,25 +113,24 @@ void GlobalChecker::ensure_graph() const {
         // Closure duty: only the chunk's first violation matters (the merge
         // below keeps the lowest), so later I-states skip the expansion.
         if (mine.violation) continue;
-        cur.successors(succ);
-        for (const auto& step : succ)
-          if (!inv_mask_.test(step.target)) {
-            mine.violation = {s, step.target};
-            break;
-          }
+        cur.for_each_target([&](GlobalStateId to, std::size_t, Value) {
+          if (inv_mask_.test(to)) return true;
+          mine.violation = {s, to};
+          return false;
+        });
         continue;
       }
-      cur.successors(succ);
       std::uint32_t deg = 0;
       bool into_inv = false;
-      for (const auto& step : succ) {
-        if (inv_mask_.test(step.target)) {
+      cur.for_each_target([&](GlobalStateId to, std::size_t, Value) {
+        if (inv_mask_.test(to)) {
           into_inv = true;
-          continue;
+        } else {
+          mine.col.push_back(rank_of(to));
+          ++deg;
         }
-        mine.col.push_back(rank_of(step.target));
-        ++deg;
-      }
+        return true;
+      });
       mine.deg.push_back(deg);
       // Rank-space bits are not chunk-word-aligned (chunks are 64-aligned
       // in *state* space), so neighbor chunks may share a to_inv word.

@@ -44,11 +44,45 @@ RingInstance::RingInstance(Protocol protocol, std::size_t size, bool ring,
   }
 
   widx_.resize(k_ * window_);
-  local_flags_.resize(protocol_.num_states());
-  for (LocalStateId ls = 0; ls < local_flags_.size(); ++ls)
+  const std::size_t local_states = protocol_.num_states();
+  const auto& space = protocol_.space();
+  local_flags_.resize(local_states);
+  move_off_.resize(local_states + 1);
+  moves_.reserve(protocol_.delta().size());
+  for (LocalStateId ls = 0; ls < local_states; ++ls) {
     local_flags_[ls] =
         static_cast<std::uint8_t>((protocol_.is_legit(ls) ? kLegit : 0) |
                                   (protocol_.is_enabled(ls) ? kEnabled : 0));
+    move_off_[ls] = static_cast<std::uint32_t>(moves_.size());
+    const Value old_self = space.self(ls);
+    for (const auto& t : protocol_.transitions_from(ls)) {
+      const Value new_self = space.self(t.to);
+      moves_.push_back(
+          {static_cast<std::int16_t>(int{new_self} - int{old_self}),
+           new_self});
+    }
+  }
+  move_off_[local_states] = static_cast<std::uint32_t>(moves_.size());
+}
+
+void RingInstance::index_readers() {
+  // Counting sort of the index table by digit; ⊥-slot reads are dropped.
+  // Placing a read advances its digit's start, so afterwards
+  // reader_off_[d] is where digit d + 1 starts: shift them back by one.
+  reader_off_.assign(k_ + 1, 0);
+  for (const std::uint32_t d : widx_)
+    if (d < k_) ++reader_off_[d + 1];
+  for (std::size_t d = 0; d < k_; ++d) reader_off_[d + 1] += reader_off_[d];
+  readers_.resize(reader_off_[k_]);
+  for (std::size_t i = 0; i < k_; ++i)
+    for (std::size_t p = 0; p < window_; ++p) {
+      const std::uint32_t d = widx_[i * window_ + p];
+      if (d < k_)
+        readers_[reader_off_[d]++] = {static_cast<std::uint32_t>(i),
+                                      lpow_[p]};
+    }
+  for (std::size_t d = k_ - 1; d > 0; --d) reader_off_[d] = reader_off_[d - 1];
+  reader_off_[0] = 0;
 }
 
 RingInstance::RingInstance(Protocol protocol, std::size_t ring_size,
@@ -68,6 +102,7 @@ RingInstance::RingInstance(Protocol protocol, std::size_t ring_size,
       widx_[i * window_ + p] = static_cast<std::uint32_t>(j);
     }
   }
+  index_readers();
 }
 
 RingInstance RingInstance::array(Protocol protocol, std::size_t length,
@@ -84,6 +119,7 @@ RingInstance RingInstance::array(Protocol protocol, std::size_t length,
           static_cast<std::uint32_t>(j < 0 || j >= n ? length : j);
     }
   }
+  inst.index_readers();
   return inst;
 }
 
@@ -105,6 +141,7 @@ RingInstance RingInstance::tree(Protocol protocol,
     inst.widx_[2 * i] = static_cast<std::uint32_t>(parent);
     inst.widx_[2 * i + 1] = static_cast<std::uint32_t>(i);
   }
+  inst.index_readers();
   return inst;
 }
 
@@ -170,15 +207,9 @@ bool RingInstance::is_deadlock(GlobalStateId s) const {
 void RingInstance::successors(GlobalStateId s, std::vector<Step>& out) const {
   auto& digits = scratch_digits();
   decode_into(s, digits);
-  successors_from(s, digits.data(), out);
-}
-
-void RingInstance::successors_from(GlobalStateId s, const Value* digits,
-                                   std::vector<Step>& out) const {
   out.clear();
   for (std::size_t i = 0; i < k_; ++i) {
-    const LocalStateId ls = local_state_from(digits, i);
-    if (!enabled_local(ls)) continue;
+    const LocalStateId ls = local_state_from(digits.data(), i);
     for (const auto& t : protocol_.transitions_from(ls)) {
       const Value old_self = protocol_.space().self(t.from);
       const Value new_self = protocol_.space().self(t.to);

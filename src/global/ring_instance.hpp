@@ -2,6 +2,7 @@
 // an array or a parent-read in-tree of K processes.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
@@ -27,11 +28,21 @@ namespace ringstab {
 /// The ⊥ slot is index K, so digit buffers hold K+1 values and the last one
 /// is always ⊥ (the domain's last value). No ring table entry points at it.
 ///
-/// Construction also precomputes the per-local-state flag byte (legit?
-/// enabled?), so predicate checks are one table read instead of a Protocol
-/// query, and the window powers |D|^p, so a local state is a Horner sum over
-/// the window digits. Sweeps should decode a state's digits once (or roll
-/// them forward with Cursor) and reuse them for all K processes.
+/// Construction also precomputes, once per instance:
+///  * the per-local-state flag byte (legit? enabled?), so predicate checks
+///    are one table read instead of a Protocol query;
+///  * the window powers |D|^p, so a local state is a Horner sum over the
+///    window digits;
+///  * the move table: each local state's moves, in transitions_from order,
+///    as the mover's new self value and its signed self delta, so a
+///    successor is s + radix^i · delta with no decode and no Step;
+///  * the reader table: for each digit, the processes whose windows read it
+///    and the window weight of each read (the ⊥ slot never changes, so it
+///    has no entry). Cursor uses it to keep every local state current.
+/// Sweeps should decode a state's digits once (or roll them forward with
+/// Cursor) and reuse them for all K processes; for_each_target is the one
+/// successor kernel, and successors() the independent Step-building path
+/// that the oracle, witness lifts and violation reports use.
 class RingInstance {
  public:
   /// A ring of `ring_size` processes. Throws ModelError if ring_size < 2,
@@ -124,12 +135,24 @@ class RingInstance {
   };
 
   /// All outgoing global transitions of s (interleaving semantics: one
-  /// process moves). Appended to `out` (cleared first).
+  /// process moves), computed from transitions_from and kept apart from the
+  /// move table. Appended to `out` (cleared first).
   void successors(GlobalStateId s, std::vector<Step>& out) const;
 
-  /// successors() from predecoded digits of s (division-free).
-  void successors_from(GlobalStateId s, const Value* digits,
-                       std::vector<Step>& out) const;
+  /// Number of moves of a local state (its local transitions).
+  std::size_t num_moves(LocalStateId ls) const {
+    return move_off_[ls + 1] - move_off_[ls];
+  }
+
+  /// The successor kernel over predecoded digits of s, laid out as
+  /// decode_into() fills them or as NecklaceEnumerator yields a ring's
+  /// necklace: calls f(target, process, new_self) for every successor, in
+  /// successors() order, until f returns false. Returns false iff f did.
+  template <typename F>
+  bool for_each_target(GlobalStateId s, const Value* digits, F&& f) const {
+    return walk_moves(
+        s, [&](std::size_t i) { return local_state_from(digits, i); }, f);
+  }
 
   /// Number of enabled processes in s.
   std::size_t num_enabled(GlobalStateId s) const;
@@ -138,18 +161,21 @@ class RingInstance {
   std::string brief(GlobalStateId s) const;
 
   /// Rolling decoder for dense state-space sweeps: holds the digit vector
-  /// of the current state and advances by one with a mixed-radix carry —
-  /// O(1) amortized, no division. All predicates run off the digit vector
-  /// and the precomputed tables.
+  /// and the K local states of the current state, and advances by one with
+  /// a mixed-radix carry — O(1) amortized, no division. Each digit the carry
+  /// changes updates only the local states of its readers, so a step costs
+  /// about radix/(radix-1) digits times the window width. All
+  /// predicates and the successor kernel read the maintained local states.
   class Cursor {
    public:
     Cursor(const RingInstance& ring, GlobalStateId start)
-        : ring_(&ring), s_(start) {
+        : ring_(&ring), s_(start), local_(ring.k_) {
       ring.decode_into(start, digits_);
+      for (std::size_t i = 0; i < ring.k_; ++i)
+        local_[i] = ring.local_state_from(digits_.data(), i);
     }
 
     GlobalStateId state() const { return s_; }
-    const std::vector<Value>& digits() const { return digits_; }
 
     /// Move to state s+1 (carry-propagating increment of the K digits; the
     /// ⊥ slot never changes).
@@ -159,54 +185,61 @@ class RingInstance {
       for (std::size_t i = 0; i < ring_->k_; ++i) {
         if (digits_[i] != top) {
           ++digits_[i];
+          shift(i, 1);
           return;
         }
         digits_[i] = 0;
+        shift(i, LocalStateId{0} - top);  // wraps: -top in unsigned terms
       }
     }
 
-    LocalStateId local_state(std::size_t i) const {
-      return ring_->local_state_from(digits_.data(), i);
-    }
+    LocalStateId local_state(std::size_t i) const { return local_[i]; }
     bool in_invariant() const {
-      for (std::size_t i = 0; i < ring_->k_; ++i)
-        if (!ring_->legit_local(local_state(i))) return false;
+      for (const LocalStateId ls : local_)
+        if (!ring_->legit_local(ls)) return false;
       return true;
     }
     bool is_deadlock() const {
-      for (std::size_t i = 0; i < ring_->k_; ++i)
-        if (ring_->enabled_local(local_state(i))) return false;
+      for (const LocalStateId ls : local_)
+        if (ring_->enabled_local(ls)) return false;
       return true;
     }
     /// Both sweep predicates in one walk over the processes: each local
-    /// state is read once and its flag byte settles both bits (an enabled
-    /// process kills kClassDeadlock, a non-legit one kills kClassInvariant),
-    /// with an early exit once neither bit survives. This is what lets the
-    /// fused census pass replace the separate in_invariant()/is_deadlock()
-    /// sweeps without touching a state twice.
+    /// state's flag byte settles both bits (an enabled process kills
+    /// kClassDeadlock, a non-legit one kills kClassInvariant), with an early
+    /// exit once neither bit survives. This is what lets the fused census
+    /// pass replace the separate in_invariant()/is_deadlock() sweeps without
+    /// touching a state twice.
     std::uint8_t classify() const {
       std::uint8_t out = kClassInvariant | kClassDeadlock;
       for (std::size_t i = 0; i < ring_->k_ && out; ++i) {
-        const std::uint8_t f = ring_->local_flags_[local_state(i)];
+        const std::uint8_t f = ring_->local_flags_[local_[i]];
         if (f & kEnabled) out &= ~kClassDeadlock;
         if (!(f & kLegit)) out &= ~kClassInvariant;
       }
       return out;
     }
-    std::size_t num_enabled() const {
-      std::size_t n = 0;
-      for (std::size_t i = 0; i < ring_->k_; ++i)
-        if (ring_->enabled_local(local_state(i))) ++n;
-      return n;
-    }
-    void successors(std::vector<Step>& out) const {
-      ring_->successors_from(s_, digits_.data(), out);
+    /// The successor kernel at the current state (see
+    /// RingInstance::for_each_target).
+    template <typename F>
+    bool for_each_target(F&& f) const {
+      return ring_->walk_moves(
+          s_, [&](std::size_t i) { return local_[i]; }, f);
     }
 
    private:
+    /// Digit `d` moved by `step` (mod 2^32): every read of it moves its
+    /// reader's local state by step times the read's window weight.
+    void shift(std::size_t d, LocalStateId step) {
+      const Reader* r = ring_->readers_.data() + ring_->reader_off_[d];
+      const Reader* end = ring_->readers_.data() + ring_->reader_off_[d + 1];
+      for (; r != end; ++r) local_[r->process] += step * r->weight;
+    }
+
     const RingInstance* ring_;
     GlobalStateId s_;
     std::vector<Value> digits_;
+    std::vector<LocalStateId> local_;
   };
 
   Cursor cursor(GlobalStateId start = 0) const { return Cursor(*this, start); }
@@ -215,11 +248,44 @@ class RingInstance {
   static constexpr std::uint8_t kLegit = 1;
   static constexpr std::uint8_t kEnabled = 2;
 
-  /// Everything but the index table, which the caller fills: radix |D| for
-  /// a ring, |D|-1 otherwise, the budget-checked place values, the window
-  /// powers and the flag table.
+  /// One entry of the move table. The target of process i's move from s is
+  /// s + pow_[i] · delta in wrapping unsigned arithmetic.
+  struct Move {
+    std::int16_t delta;  // new self value − old self value
+    Value self;          // the new self value
+  };
+  /// One entry of the reader table: `process` reads the digit at window
+  /// weight |D|^p.
+  struct Reader {
+    std::uint32_t process;
+    LocalStateId weight;
+  };
+
+  /// Everything but the index and reader tables, which the caller fills:
+  /// radix |D| for a ring, |D|-1 otherwise, the budget-checked place
+  /// values, the window powers, the flag table and the move table.
   RingInstance(Protocol protocol, std::size_t size, bool ring,
                GlobalStateId max_states);
+
+  /// Fill the reader table from the finished index table.
+  void index_readers();
+
+  /// The kernel body both for_each_target forms share; `local_of(i)` is
+  /// process i's local state.
+  template <typename LocalOf, typename F>
+  bool walk_moves(GlobalStateId s, const LocalOf& local_of, F& f) const {
+    for (std::size_t i = 0; i < k_; ++i) {
+      const LocalStateId ls = local_of(i);
+      const Move* m = moves_.data() + move_off_[ls];
+      const Move* end = moves_.data() + move_off_[ls + 1];
+      for (; m != end; ++m) {
+        const auto delta =
+            static_cast<GlobalStateId>(static_cast<std::int64_t>(m->delta));
+        if (!f(s + pow_[i] * delta, i, m->self)) return false;
+      }
+    }
+    return true;
+  }
 
   Protocol protocol_;
   std::size_t k_;
@@ -231,6 +297,10 @@ class RingInstance {
   std::vector<LocalStateId> lpow_;        // |D|^p over the window
   std::vector<std::uint32_t> widx_;       // widx_[i*window + p]: digit index
   std::vector<std::uint8_t> local_flags_; // kLegit | kEnabled per local state
+  std::vector<std::uint32_t> move_off_;   // local state → its moves_ range
+  std::vector<Move> moves_;
+  std::vector<std::uint32_t> reader_off_; // digit d → its readers_ range
+  std::vector<Reader> readers_;
 };
 
 /// A uniformly random in-tree shape on n nodes, as RingInstance::tree takes

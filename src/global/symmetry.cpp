@@ -98,7 +98,6 @@ CensusBuild run_census(const RingInstance& ring, std::size_t max_samples,
   const std::uint64_t grain = slot_grain(slots);
   const std::uint64_t chunks = num_chunks(slots, grain);
   const std::size_t k = ring.ring_size();
-  const Protocol& protocol = ring.protocol();
 
   CensusBuild out;
   if constexpr (kCollect) out.not_inv.emplace(ring.num_states());
@@ -142,7 +141,7 @@ CensusBuild run_census(const RingInstance& ring, std::size_t max_samples,
         for (; i < orbit; ++i) {
           const LocalStateId ls = ring.local_state_from(digits, i);
           classify(ls);
-          moves += protocol.transitions_from(ls).size();
+          moves += ring.num_moves(ls);
         }
       for (; i < k && (in_inv || dead); ++i)
         classify(ring.local_state_from(digits, i));
@@ -207,7 +206,6 @@ std::optional<GlobalStateId> build_quotient_graph(const RingInstance& ring,
                                                   std::size_t num_threads) {
   const obs::Span span("symmetry.quotient_graph");
   const std::size_t k = ring.ring_size();
-  const auto& space = ring.protocol().space();
   const std::span<const GlobalStateId> pow{ring.powers()};
   const RankedNecklaces& not_inv = *build.not_inv;
   const NecklaceEnumerator enumerator(k, ring.domain_size());
@@ -223,7 +221,6 @@ std::optional<GlobalStateId> build_quotient_graph(const RingInstance& ring,
   std::vector<std::optional<GlobalStateId>> bad(chunks);
   parallel_for(slots, num_threads, slot_grain(slots),
                [&](const ChunkRange& chunk, std::size_t) {
-    std::vector<RingInstance::Step> succ;
     std::vector<std::uint32_t> targets;
     std::vector<Value> word(k);  // the necklace, one digit patched per move
     std::uint64_t r = build.rank_base[chunk.index];
@@ -231,13 +228,15 @@ std::optional<GlobalStateId> build_quotient_graph(const RingInstance& ring,
     const std::uint64_t last = build.edge_base[chunk.index + 1];
     std::uint64_t e = first;
     std::optional<GlobalStateId>& violation = bad[chunk.index];
-    // The ¬I rank of successor `step` of the necklace in `word`, or kInI
-    // for a successor outside the ¬I set, checked to lie in I.
-    const auto rank_of = [&](const RingInstance::Step& step) {
-      const Value old_self = word[step.process];
-      word[step.process] = space.self(step.transition.to);
+    // The ¬I rank of the necklace's successor `target`, where `process`
+    // moved to `self`, or kInI for a successor outside the ¬I set, checked
+    // to lie in I. Patches `word` to the successor's digits and back.
+    const auto rank_of = [&](GlobalStateId target, std::size_t process,
+                             Value self) {
+      const Value old_self = word[process];
+      word[process] = self;
       const GlobalStateId to =
-          canonical_necklace_id(step.target, word.data(), k, pow);
+          canonical_necklace_id(target, word.data(), k, pow);
       std::uint32_t rank = kInI;
       if (not_inv.contains(to))
         rank = not_inv.rank(to);
@@ -246,7 +245,7 @@ std::optional<GlobalStateId> build_quotient_graph(const RingInstance& ring,
           RINGSTAB_ASSERT(
               ring.legit_local(ring.local_state_from(word.data(), i)),
               "canonicalized successor is not an enumerated necklace");
-      word[step.process] = old_self;
+      word[process] = old_self;
       return rank;
     };
     enumerator.visit_slots(chunk.begin, chunk.end,
@@ -257,17 +256,20 @@ std::optional<GlobalStateId> build_quotient_graph(const RingInstance& ring,
       // keeps the lowest), so later I necklaces skip the expansion.
       if (in_inv && violation) return;
       std::copy(digits, digits + k, word.begin());
-      ring.successors_from(id, digits, succ);
       if (in_inv) {
-        for (const auto& step : succ)
-          if (rank_of(step) != kInI) {
-            violation = id;
-            return;
-          }
+        if (!ring.for_each_target(
+                id, digits, [&](GlobalStateId to, std::size_t i, Value v) {
+                  return rank_of(to, i, v) == kInI;
+                }))
+          violation = id;
         return;
       }
       targets.clear();
-      for (const auto& step : succ) targets.push_back(rank_of(step));
+      ring.for_each_target(id, digits,
+                           [&](GlobalStateId to, std::size_t i, Value v) {
+                             targets.push_back(rank_of(to, i, v));
+                             return true;
+                           });
       std::sort(targets.begin(), targets.end());
       targets.erase(std::unique(targets.begin(), targets.end()),
                     targets.end());

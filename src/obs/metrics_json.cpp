@@ -167,6 +167,10 @@ class Parser {
     while (true) {
       const char c = take();
       if (c == '"') return out;
+      if (static_cast<unsigned char>(c) < 0x20) {
+        --pos_;
+        fail("raw control character in string");
+      }
       if (c != '\\') {
         out += c;
         continue;
@@ -214,15 +218,35 @@ class Parser {
     }
   }
 
+  bool at_digit() const {
+    return pos_ < text_.size() &&
+           std::isdigit(static_cast<unsigned char>(text_[pos_]));
+  }
+
+  /// One or more digits, else a ParseError naming the number part `what`.
+  void digits(const char* what) {
+    if (!at_digit()) fail(std::string("expected a digit in ") + what);
+    while (at_digit()) ++pos_;
+  }
+
+  /// RFC 8259's number: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
   Value parse_number() {
     const std::size_t begin = pos_;
     if (peek() == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-'))
+    if (pos_ < text_.size() && text_[pos_] == '0')
+      ++pos_;  // a leading zero stands alone: "01" leaves "1" trailing
+    else
+      digits("a number");
+    if (pos_ < text_.size() && text_[pos_] == '.') {
       ++pos_;
-    if (pos_ == begin) fail("empty number");
+      digits("a fraction");
+    }
+    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
+      ++pos_;
+      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-'))
+        ++pos_;
+      digits("an exponent");
+    }
     Value v;
     v.kind = Value::Kind::Number;
     v.number = std::string(text_.substr(begin, pos_ - begin));

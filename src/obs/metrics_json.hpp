@@ -11,7 +11,9 @@
 //    all-integer for exactly this reason (no float re-formatting drift),
 //    and tests/test_obs.cpp locks the emit → parse → re-emit loop in.
 //  * Diagnosable failure: parse errors throw with a byte offset, which
-//    ringstab-perf turns into its exit-code-2 schema errors.
+//    ringstab-perf turns into its exit-code-2 schema errors. Only JSON
+//    parses: a number must match RFC 8259's grammar and a string may hold
+//    no raw byte below 0x20, so whatever parses dumps back as JSON.
 //  * Bounded recursion: arrays and objects may nest kMaxNesting deep, and
 //    deeper input is a ParseError, so a hostile wire line cannot overflow
 //    a connection thread's stack. The deepest document ringstab writes

@@ -153,9 +153,11 @@ void Server::serve_connection(Connection* conn) {
   while (reader.read_line(line)) {
     if (line.empty()) continue;  // blank keep-alive lines are fine
     const Response resp = dispatch(line);
-    if (!write_all(conn->fd, encode_response(resp) + "\n")) break;
+    // Counted before the reply leaves: a client that has read it and then
+    // asks for stats must see it counted.
     requests_.fetch_add(1, std::memory_order_relaxed);
     if (obs::enabled()) obs::counter("serve.requests").add(1);
+    if (!write_all(conn->fd, encode_response(resp) + "\n")) break;
   }
   if (reader.too_long()) {
     // Refuse once and hang up: the rest of the line is never read.

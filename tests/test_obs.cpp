@@ -596,6 +596,31 @@ TEST(ObsJson, NestingBoundCountsOpenContainersOnly) {
   EXPECT_EQ(obs::json::dump(obs::json::parse(wide)), wide);
 }
 
+// Numbers follow RFC 8259's grammar, -?(0|[1-9][0-9]*)(\.[0-9]+)?
+// ([eE][+-]?[0-9]+)?, and strings hold no raw control byte, so whatever
+// parses dumps back as JSON.
+TEST(ObsJson, OnlyJsonNumbersAndEscapedControlBytesParse) {
+  for (const char* bad :
+       {"[1-2]", "[--]", "[-]", "[1e]", "[1.2.3]", "01", "[01]", "1.", ".5",
+        "[1e+]", "[-.5]", "[+1]", "\"a\tb\"", "[\"\x01\"]", "{\"k\n\":1}"})
+    EXPECT_THROW(obs::json::parse(bad), obs::json::ParseError) << bad;
+  for (const char* good : {"-0", "1e+20", "0.5E-3", "[0,-1,10,2.50,3e7]",
+                           "\"a\\tb\\u0001\""})
+    EXPECT_EQ(obs::json::dump(obs::json::parse(good)),
+              obs::json::dump(obs::json::parse(
+                  obs::json::dump(obs::json::parse(good)))))
+        << good;
+  EXPECT_EQ(obs::json::dump(obs::json::parse("[-0,1e+20,0.5E-3]")),
+            "[-0,1e+20,0.5E-3]");
+  // The error points at the offending byte.
+  try {
+    obs::json::parse("[\"ab\tc\"]");
+    ADD_FAILURE() << "a raw tab in a string must not parse";
+  } catch (const obs::json::ParseError& e) {
+    EXPECT_EQ(e.offset(), 4u);
+  }
+}
+
 TEST(ObsOverhead, NullSinkLeavesCheckerResultsBitIdentical) {
   const Protocol p = testing::protocol_zoo().front();
   RingInstance ring(p, 6);

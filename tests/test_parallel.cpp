@@ -1,18 +1,24 @@
 // The parallel global-state engine: thread pool / parallel_for semantics,
-// the packed bitset, the rolling division-free decoder, and — the contract
+// the packed bitset, the rolling division-free decoder and the successor
+// kernel against the divmod decode and successors(), and — the contract
 // that matters — bit-identical verdicts between the serial seed engine and
 // the parallel sweeps on every bundled protocol.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <numeric>
+#include <ostream>
+#include <random>
+#include <string>
 #include <vector>
 
 #include "global/checker.hpp"
+#include "global/necklace.hpp"
 #include "global/symmetry.hpp"
 #include "helpers.hpp"
 #include "parallel/bitset.hpp"
 #include "parallel/thread_pool.hpp"
+#include "protocols/arrays.hpp"
 
 namespace ringstab {
 namespace {
@@ -142,34 +148,180 @@ TEST(ParallelFor, NestedRegionRunsInlineWithoutDeadlock) {
   EXPECT_EQ(sum.load(), outer_n);
 }
 
-TEST(RingCursor, MatchesDivmodDecodeEverywhere) {
-  for (const auto& p : testing::protocol_zoo()) {
-    const RingInstance ring(p, 5);
-    auto cur = ring.cursor(0);
-    for (GlobalStateId s = 0; s < ring.num_states(); ++s, cur.advance()) {
+// The instances the cursor and the successor kernel are held to the
+// divmod decode and to successors() on: zoo rings and random bidirectional
+// rings at K=2..7 (a 3-wide window wraps twice at K=2), arrays at n=2..6,
+// whose boundary windows read the ⊥ slot, and random trees.
+std::vector<RingInstance> kernel_instances() {
+  std::vector<RingInstance> out;
+  std::mt19937_64 rng(29);
+  std::vector<Protocol> rings = testing::protocol_zoo();
+  for (int i = 0; i < 4; ++i)
+    rings.push_back(testing::random_protocol(
+        rng, {.max_domain = 3, .allow_bidirectional = true}));
+  for (const Protocol& p : rings)
+    for (std::size_t k = 2; k <= 7; ++k) out.emplace_back(p, k);
+  const std::vector<Protocol> arrays = {
+      protocols::array_two_coloring(), protocols::array_sort(3),
+      testing::random_array_protocol(rng, {.bidirectional = true}),
+      testing::random_array_protocol(rng, {.max_real = 4})};
+  for (const Protocol& p : arrays)
+    for (std::size_t n = 2; n <= 6; ++n)
+      out.push_back(RingInstance::array(p, n));
+  for (const Protocol& p : {arrays[0], arrays[1], arrays[3]})
+    for (std::uint64_t seed = 1; seed <= 4; ++seed)
+      out.push_back(RingInstance::tree(p, random_tree_shape(2 + seed, seed)));
+  return out;
+}
+
+std::string name_of(const RingInstance& inst) {
+  return inst.protocol().name() + (inst.is_ring() ? " ring K=" : " K=") +
+         std::to_string(inst.ring_size());
+}
+
+/// Cursor seats: state 0 and mid-space, each walked to the end, then every
+/// chunk of the checker's parallel_for partition and of a 64-state one,
+/// each walked to its end. Calls visit(cursor) at each state.
+template <typename Visit>
+void for_each_seat(const RingInstance& inst, Visit&& visit) {
+  const GlobalStateId n = inst.num_states();
+  const auto walk = [&](GlobalStateId begin, GlobalStateId end) {
+    auto cur = inst.cursor(begin);
+    for (GlobalStateId s = begin; s < end; ++s, cur.advance()) {
       ASSERT_EQ(cur.state(), s);
-      for (std::size_t i = 0; i < ring.ring_size(); ++i)
-        ASSERT_EQ(cur.local_state(i), ring.local_state(s, i))
-            << p.name() << " s=" << s << " i=" << i;
-      ASSERT_EQ(cur.in_invariant(), ring.in_invariant(s)) << p.name();
-      ASSERT_EQ(cur.is_deadlock(), ring.is_deadlock(s)) << p.name();
+      visit(cur);
     }
+  };
+  walk(0, n);
+  walk(n / 2, n);
+  for (const std::uint64_t grain : {std::uint64_t{0}, std::uint64_t{64}})
+    parallel_for(n, 1, grain, [&](const ChunkRange& chunk, std::size_t) {
+      walk(chunk.begin, chunk.end);
+    });
+}
+
+TEST(RingCursor, MaintainedLocalStatesMatchDivmodDecode) {
+  for (const RingInstance& inst : kernel_instances()) {
+    const std::string ctx = name_of(inst);
+    for_each_seat(inst, [&](const RingInstance::Cursor& cur) {
+      const GlobalStateId s = cur.state();
+      for (std::size_t i = 0; i < inst.ring_size(); ++i)
+        ASSERT_EQ(cur.local_state(i), inst.local_state(s, i))
+            << ctx << " s=" << s << " i=" << i;
+      const bool inv = inst.in_invariant(s), dead = inst.is_deadlock(s);
+      ASSERT_EQ(cur.in_invariant(), inv) << ctx << " s=" << s;
+      ASSERT_EQ(cur.is_deadlock(), dead) << ctx << " s=" << s;
+      ASSERT_EQ(cur.classify(),
+                (inv ? RingInstance::kClassInvariant : 0) |
+                    (dead ? RingInstance::kClassDeadlock : 0))
+          << ctx << " s=" << s;
+    });
+    // Past the last state every digit carries out and wraps to 0.
+    auto cur = inst.cursor(inst.num_states() - 1);
+    cur.advance();
+    for (std::size_t i = 0; i < inst.ring_size(); ++i)
+      ASSERT_EQ(cur.local_state(i), inst.local_state(0, i)) << ctx;
   }
 }
 
-TEST(RingCursor, CursorFromMidStateMatches) {
-  const RingInstance ring(testing::protocol_zoo().front(), 6);
-  const GlobalStateId start = ring.num_states() / 3 + 17;
-  auto cur = ring.cursor(start);
-  std::vector<RingInstance::Step> a, b;
-  for (GlobalStateId s = start; s < start + 100 && s < ring.num_states();
-       ++s, cur.advance()) {
-    cur.successors(a);
-    ring.successors(s, b);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t j = 0; j < a.size(); ++j)
-      ASSERT_EQ(a[j].target, b[j].target);
+/// One successor as the kernel yields it.
+struct Yield {
+  GlobalStateId target;
+  std::size_t process;
+  Value self;
+  bool operator==(const Yield&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const Yield& y) {
+  return os << "(" << y.target << ", " << y.process << ", " << int{y.self}
+            << ")";
+}
+
+/// successors() as (target, process, new self), the oracle's order.
+std::vector<Yield> oracle_yields(const RingInstance& inst, GlobalStateId s) {
+  std::vector<RingInstance::Step> steps;
+  inst.successors(s, steps);
+  std::vector<Yield> out;
+  for (const auto& step : steps)
+    out.push_back({step.target, step.process,
+                   inst.protocol().space().self(step.transition.to)});
+  return out;
+}
+
+/// Everything one kernel form yields; `walk(f)` runs the form with f.
+template <typename Walk>
+std::vector<Yield> kernel_yields(Walk&& walk) {
+  std::vector<Yield> out;
+  const bool finished = walk([&](GlobalStateId to, std::size_t i, Value v) {
+    out.push_back({to, i, v});
+    return true;
+  });
+  EXPECT_TRUE(finished) << "a walk whose callback never stops must finish";
+  return out;
+}
+
+TEST(RingKernel, BothFormsYieldSuccessorsInOrder) {
+  std::vector<Value> digits;
+  for (const RingInstance& inst : kernel_instances()) {
+    const std::string ctx = name_of(inst);
+    for_each_seat(inst, [&](const RingInstance::Cursor& cur) {
+      const GlobalStateId s = cur.state();
+      const std::vector<Yield> want = oracle_yields(inst, s);
+      ASSERT_EQ(kernel_yields([&](auto&& f) {
+                  return cur.for_each_target(f);
+                }),
+                want)
+          << ctx << " cursor form, s=" << s;
+      inst.decode_into(s, digits);
+      ASSERT_EQ(kernel_yields([&](auto&& f) {
+                  return inst.for_each_target(s, digits.data(), f);
+                }),
+                want)
+          << ctx << " digit form, s=" << s;
+    });
+    if (!inst.is_ring()) continue;
+    // The digit form on the quotient's own digits: every necklace.
+    const NecklaceEnumerator necklaces(inst.ring_size(), inst.domain_size());
+    necklaces.visit_all([&](const Value* word, GlobalStateId id,
+                            std::uint32_t) {
+      ASSERT_EQ(kernel_yields([&](auto&& f) {
+                  return inst.for_each_target(id, word, f);
+                }),
+                oracle_yields(inst, id))
+          << ctx << " necklace " << id;
+    });
   }
+}
+
+TEST(RingKernel, FalseStopsTheWalkAfterThatMove) {
+  std::vector<Value> digits;
+  std::size_t stopped = 0;
+  for (const RingInstance& inst : kernel_instances()) {
+    const std::string ctx = name_of(inst);
+    auto cur = inst.cursor(0);
+    for (GlobalStateId s = 0; s < inst.num_states(); ++s, cur.advance()) {
+      const std::vector<Yield> want = oracle_yields(inst, s);
+      inst.decode_into(s, digits);
+      // Stopping at move j leaves exactly the first j + 1 moves yielded.
+      for (std::size_t j = 0; j < want.size(); ++j) {
+        const std::vector<Yield> prefix(want.begin(), want.begin() + j + 1);
+        const auto stop_at_j = [&](std::vector<Yield>& got) {
+          return [&got, j](GlobalStateId to, std::size_t i, Value v) {
+            got.push_back({to, i, v});
+            return got.size() <= j;
+          };
+        };
+        std::vector<Yield> a, b;
+        ASSERT_FALSE(cur.for_each_target(stop_at_j(a))) << ctx;
+        ASSERT_FALSE(inst.for_each_target(s, digits.data(), stop_at_j(b)))
+            << ctx;
+        ASSERT_EQ(a, prefix) << ctx << " s=" << s << " j=" << j;
+        ASSERT_EQ(b, prefix) << ctx << " s=" << s << " j=" << j;
+        ++stopped;
+      }
+    }
+  }
+  EXPECT_GT(stopped, 0u);
 }
 
 // The headline contract: N-thread sweeps return verdicts, counts, samples,
